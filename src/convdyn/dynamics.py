@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import scalars
 from .errors import (
     DomainError,
     GroupMismatchError,
@@ -29,6 +30,7 @@ from .errors import (
 from .groups import CosetDecomposition, coset_decomposition
 from .measures import (
     ProbMeasure,
+    _require_same_group,
     convolve,
     l1_distance,
     support_orbit,
@@ -40,11 +42,6 @@ from .transition import transition_matrix
 ACCUMULATION_TOL = 1e-10
 _SUBSEQ_SETTLE_TOL = 1e-13
 _SUBSEQ_MAX_ROUNDS = 10**5
-
-
-def _require_same_group(a: ProbMeasure, b: ProbMeasure) -> None:
-    if a.group != b.group:
-        raise GroupMismatchError("measures live on different groups")
 
 
 def apply_step(nu: ProbMeasure, mu: ProbMeasure) -> ProbMeasure:
@@ -78,8 +75,7 @@ def limit_of_powers(nu: ProbMeasure) -> ProbMeasure:
             "powers of a non-acyclic measure do not converge; "
             "use accumulation_points instead"
         )
-    uniform = ProbMeasure.uniform(nu.group, so.subgroup.members)
-    return uniform if nu.mode == EXACT else uniform.to_float()
+    return ProbMeasure.uniform(nu.group, so.subgroup.members).in_mode(nu.mode)
 
 
 @dataclass(frozen=True)
@@ -113,11 +109,6 @@ def omega_limit(nu: ProbMeasure, mu: ProbMeasure) -> OmegaLimitReport:
     )
 
 
-def _uniform_like(nu: ProbMeasure, subset) -> ProbMeasure:
-    u = ProbMeasure.uniform(nu.group, subset)
-    return u if nu.mode == EXACT else u.to_float()
-
-
 def accumulation_points(
     nu: ProbMeasure,
     tol: float = ACCUMULATION_TOL,
@@ -141,7 +132,7 @@ def accumulation_points(
         )
     d = so.period
     t = so.pre_period
-    claims = tuple(_uniform_like(nu, ks) for ks in so.cycle_sets)
+    claims = tuple(ProbMeasure.uniform(nu.group, ks).in_mode(nu.mode) for ks in so.cycle_sets)
 
     af = transition_matrix(nu).as_float_array()
     step_d = np.linalg.matrix_power(af, d)
@@ -225,9 +216,7 @@ def is_recurrent(nu: ProbMeasure, mu: ProbMeasure) -> bool:
     the limit measure: convolve(mu, limit_of_powers(nu)) = mu."""
     _require_same_group(nu, mu)
     image = convolve(mu, limit_of_powers(nu))
-    if mu.mode == EXACT and image.mode == EXACT:
-        return image.weights == mu.weights
-    return float(l1_distance(image.to_float(), mu.to_float())) <= 1e-12
+    return scalars.equal(l1_distance(image, mu), 0)
 
 
 @dataclass(frozen=True)
@@ -259,10 +248,7 @@ class BasinDescription:
             return False
         if mu.group != self.target.group:
             raise GroupMismatchError("candidate lives on a different group")
-        sums = self.block_sums(mu)
-        if mu.mode == EXACT and self.target.mode == EXACT:
-            return all(s == r for s, r in zip(sums, self.required_sums))
-        return all(abs(float(s) - float(r)) <= 1e-12 for s, r in zip(sums, self.required_sums))
+        return all(map(scalars.equal, self.block_sums(mu), self.required_sums))
 
 
 def basin(nu: ProbMeasure, eta: ProbMeasure) -> BasinDescription:
@@ -272,26 +258,17 @@ def basin(nu: ProbMeasure, eta: ProbMeasure) -> BasinDescription:
     if not so.acyclic:
         raise NotAcyclicError("basins are defined for acyclic driving measures")
     dec = coset_decomposition(nu.group, so.subgroup)
-    k = so.subgroup.order
     n = nu.group.order
     l = len(dec.blocks)
     dimension = n - l
     required: list[Scalar] = []
     for m, block in enumerate(dec.blocks):
         values = [eta.weights[i] for i in block]
-        if eta.mode == EXACT:
-            constant = all(v == values[0] for v in values)
-        else:
-            constant = max(values) - min(values) <= 1e-12
-        if not constant:
+        if not scalars.equal(max(values), min(values)):
             return BasinDescription(eta, dec, None, dimension, False, witness_block=m)
-        required.append(k * values[0])
+        required.append(sum(values))
     total = sum(required)
-    if eta.mode == EXACT:
-        ok = total == 1
-    else:
-        ok = abs(float(total) - 1.0) <= 1e-12
-    if not ok:
+    if not scalars.equal(total, 1):
         raise VerificationError(f"block sums add to {total}, expected 1")
     return BasinDescription(eta, dec, tuple(required), dimension, True)
 
@@ -308,10 +285,7 @@ def same_omega_limit(nu: ProbMeasure, mu1: ProbMeasure, mu2: ProbMeasure) -> boo
     for block in dec.blocks:
         s1 = sum(mu1.weights[i] for i in block)
         s2 = sum(mu2.weights[i] for i in block)
-        if mu1.mode == EXACT and mu2.mode == EXACT:
-            if s1 != s2:
-                return False
-        elif abs(float(s1) - float(s2)) > 1e-12:
+        if not scalars.equal(s1, s2):
             return False
     return True
 
@@ -334,11 +308,7 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
     h_members = so.subgroup.member_set()
     if supp == h_members:
         return nu
-    exact = nu.mode == EXACT
-    if exact:
-        eps = Fraction(eps)
-    else:
-        eps = float(eps)
+    eps = scalars.coerce(eps, nu.mode)
     a = min(w for w in nu.weights if w > 0)
     ebar = min(eps, a) / 2
     gain = ebar / (len(h_members) - len(supp))

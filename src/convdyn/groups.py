@@ -139,12 +139,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)

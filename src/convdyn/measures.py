@@ -12,7 +12,7 @@ matrix of ``nu`` (see :mod:`convdyn.transition`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,7 +27,6 @@ from .errors import (
 from .groups import FiniteGroup, GroupHom, Subgroup, generated_subgroup
 from .scalars import EXACT, FLOAT, Scalar
 
-FLOAT_MASS_TOL = 1e-12
 FLOAT_SUPPORT_TOL = 1e-14
 
 ORBIT_HARD_CAP = 10**6
@@ -48,39 +47,32 @@ class ProbMeasure:
     """A probability measure: weights[i] is the mass at g_i.
 
     Exact mode stores Fractions and requires the mass to be exactly 1;
-    float mode tolerates |mass - 1| <= 1e-12.  Negative entries are
-    rejected in both modes.
+    float mode tolerates |mass - 1| <= scalars.FLOAT_TOL.  Negative
+    entries are rejected in both modes.  ``mode`` is decided once, here.
     """
 
     group: FiniteGroup
     weights: tuple[Scalar, ...]
+    mode: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ws = scalars.normalize(self.weights)
+        ws, mode = scalars.normalize(self.weights)  # raises ModeMismatchError on mixtures
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "mode", mode)
         if len(ws) != self.group.order:
             raise InvalidMeasureError(
                 f"{len(ws)} weights for a group of order {self.group.order}"
             )
-        mode = scalars.mode_of(ws)  # raises ModeMismatchError on mixtures
         for i, w in enumerate(ws):
             if w != w:  # NaN
                 raise InvalidMeasureError(f"weight at index {i} is NaN")
             if w < 0:
                 raise InvalidMeasureError(f"negative weight {w} at index {i}")
         total = sum(ws)
-        if mode == EXACT:
-            if total != 1:
+        if not scalars.equal(total, 1):
+            if mode == EXACT:
                 raise InvalidMeasureError(f"total mass is {total}, expected exactly 1")
-        else:
-            if abs(total - 1.0) > FLOAT_MASS_TOL:
-                raise InvalidMeasureError(
-                    f"total mass deviates from 1 by {abs(total - 1.0):.3e}"
-                )
-
-    @property
-    def mode(self) -> str:
-        return scalars.mode_of(self.weights)
+            raise InvalidMeasureError(f"total mass deviates from 1 by {abs(total - 1.0):.3e}")
 
     @classmethod
     def point_mass(cls, group: FiniteGroup, index: int) -> "ProbMeasure":
@@ -100,10 +92,14 @@ class ProbMeasure:
         w = Fraction(1, len(subset))
         return cls(group, tuple(w if i in subset else Fraction(0) for i in range(group.order)))
 
-    def to_float(self) -> "ProbMeasure":
-        if self.mode == FLOAT:
+    def in_mode(self, mode: str) -> "ProbMeasure":
+        """This measure with its weights coerced to ``mode``."""
+        if mode == self.mode:
             return self
-        return ProbMeasure(self.group, tuple(float(w) for w in self.weights))
+        return ProbMeasure(self.group, tuple(scalars.coerce(w, mode) for w in self.weights))
+
+    def to_float(self) -> "ProbMeasure":
+        return self.in_mode(FLOAT)
 
     def support(self, threshold: float | None = None) -> frozenset[int]:
         """Indices with strictly positive mass.
@@ -126,17 +122,14 @@ class TestFunction:
 
     group: FiniteGroup
     values: tuple[Scalar, ...]
+    mode: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        vals = scalars.normalize(self.values)
+        vals, mode = scalars.normalize(self.values)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "mode", mode)
         if len(vals) != self.group.order:
             raise DomainError(f"{len(vals)} values for a group of order {self.group.order}")
-        scalars.mode_of(vals)
-
-    @property
-    def mode(self) -> str:
-        return scalars.mode_of(self.values)
 
     @classmethod
     def constant(cls, group: FiniteGroup, value: Scalar = Fraction(1)) -> "TestFunction":
@@ -163,8 +156,7 @@ def convolve(a: ProbMeasure, b: ProbMeasure) -> ProbMeasure:
     _require_same_group(a, b)
     _require_same_mode(a, b)
     g = a.group
-    zero = Fraction(0) if a.mode == EXACT else 0.0
-    acc = [zero] * g.order
+    acc = [scalars.coerce(0, a.mode)] * g.order
     cayley = g.cayley
     for i, ai in enumerate(a.weights):
         if not ai:
@@ -190,12 +182,13 @@ def bilinear_pairing(f: TestFunction, a: ProbMeasure, b: ProbMeasure) -> Scalar:
     _require_same_mode(f, a)
     _require_same_mode(a, b)
     g = a.group
-    total = Fraction(0) if a.mode == EXACT else 0.0
+    zero = scalars.coerce(0, a.mode)
+    total = zero
     for i, ai in enumerate(a.weights):
         if not ai:
             continue
         row = g.cayley[i]
-        inner = Fraction(0) if a.mode == EXACT else 0.0
+        inner = zero
         for j, bj in enumerate(b.weights):
             if bj:
                 inner += f.values[row[j]] * bj
@@ -207,8 +200,7 @@ def pushforward(phi: GroupHom, m: ProbMeasure) -> ProbMeasure:
     """Image measure under a homomorphism: mass at y is the mass of its preimage."""
     if m.group != phi.source:
         raise GroupMismatchError("measure does not live on the homomorphism's source")
-    zero = Fraction(0) if m.mode == EXACT else 0.0
-    acc = [zero] * phi.target.order
+    acc = [scalars.coerce(0, m.mode)] * phi.target.order
     for i, w in enumerate(m.weights):
         acc[phi.map[i]] += w
     return ProbMeasure(phi.target, tuple(acc))

@@ -1,6 +1,6 @@
 """Exact Gaussian elimination over the rationals.
 
-Small dense routines, enough to compute ranks and null spaces of the
+Small dense routines, enough to compute null spaces of the
 fixed-point systems that arise here.  Pivots are chosen to keep
 numerator/denominator growth down: among the nonzero candidates in a
 column, the entry with the smallest combined bit length wins, ties
@@ -42,11 +42,6 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def rank(matrix: list[list[Fraction]]) -> int:
-    _, pivots = rref(matrix)
-    return len(pivots)
 
 
 def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -4,6 +4,15 @@ A scalar is either an exact rational (``fractions.Fraction``, always in
 canonical reduced form with positive denominator) or a double-precision
 float.  A weight vector is single-mode: all exact or all float, never a
 mixture.  Integers count as exact and are normalised to ``Fraction``.
+
+This is the only module that knows how the two modes differ:
+
+- :func:`normalize` coerces a vector and decides its mode once, so
+  measures and test functions store their mode instead of rescanning;
+- :func:`coerce` puts a scalar into a mode (the mode's zero is
+  ``coerce(0, mode)``, an exact value in float mode is its ``float``);
+- :func:`equal` compares two scalars: exactly when both are exact, and
+  within :data:`FLOAT_TOL` otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
+
+FLOAT_TOL = 1e-12
 
 
 def is_exact(value) -> bool:
@@ -70,19 +81,26 @@ def mode_of(values: Iterable[Scalar]) -> str:
     raise ModeMismatchError("vector mixes exact and float scalars")
 
 
-def normalize(values: Iterable[Scalar]) -> tuple[Scalar, ...]:
-    """Coerce ints to Fraction so exact vectors are uniformly Fraction."""
-    out = []
-    for v in values:
-        if is_exact(v):
-            out.append(Fraction(v))
-        else:
-            out.append(v)
-    return tuple(out)
+def normalize(values: Iterable[Scalar]) -> tuple[tuple[Scalar, ...], str]:
+    """The vector with ints coerced to Fraction, and its mode (EXACT or
+    FLOAT); a mixed vector raises ModeMismatchError."""
+    values = tuple(values)
+    mode = mode_of(values)
+    if mode == EXACT:
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    return values, mode
 
 
-def to_float(value: Scalar) -> float:
-    return float(value)
+def coerce(value: Scalar, mode: str) -> Scalar:
+    """``value`` as a scalar of ``mode``."""
+    return Fraction(value) if mode == EXACT else float(value)
+
+
+def equal(a: Scalar, b: Scalar) -> bool:
+    """a == b when both are exact; |a - b| <= FLOAT_TOL when either is a float."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(float(a) - float(b)) <= FLOAT_TOL
 
 
 def scalar_to_json(value: Scalar):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import scalars
 from .errors import BudgetError, ConvergenceError, DomainError, NotAcyclicError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_decomposition
 from .measures import ProbMeasure, SupportOrbit, support_orbit
@@ -57,10 +58,9 @@ def transition_matrix(m: ProbMeasure) -> TransitionMatrix:
     return TransitionMatrix(g, m, entries)
 
 
-def _identity_entries(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+def _identity_entries(n: int, mode: str) -> tuple[tuple[Scalar, ...], ...]:
+    one, zero = scalars.coerce(1, mode), scalars.coerce(0, mode)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def _matrix_bits(entries) -> int:
@@ -90,11 +90,7 @@ def matrix_power(a: TransitionMatrix, m: int, bit_limit: int | None = None):
     if m < 0:
         raise DomainError(f"exponent must be >= 0, got {m}")
     limit = DEFAULT_BIT_LIMIT if bit_limit is None else bit_limit
-    n = a.order
-    if a.mode == EXACT:
-        result = _identity_entries(n)
-    else:
-        result = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
+    result = _identity_entries(a.order, a.mode)
     base = a.entries
     e = m
     while e:
@@ -122,8 +118,7 @@ def convolution_power(m: ProbMeasure, n: int, bit_limit: int | None = None) -> P
     if n < 0:
         raise DomainError(f"power must be >= 0, got {n}")
     if n == 0:
-        e = ProbMeasure.point_mass(m.group, m.group.identity)
-        return e if m.mode == EXACT else e.to_float()
+        return ProbMeasure.point_mass(m.group, m.group.identity).in_mode(m.mode)
     if n == 1:
         return m
     a = transition_matrix(m)

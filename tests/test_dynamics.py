@@ -373,6 +373,26 @@ def test_target_belongs_to_its_own_basin(g6_coset):
     assert desc.contains(eta)
 
 
+def test_basin_of_float_target_requires_block_mass_not_scaled_entry(z3):
+    # k * eta[first] would scale the first entry's rounding error by k = 3
+    nu = cd.ProbMeasure(z3, (0.5, 0.25, 0.25))
+    eta = cd.ProbMeasure(z3, (1 / 3 + 5e-13, 1 / 3 - 2.5e-13, 1 / 3 - 2.5e-13))
+    assert cd.is_recurrent(nu, eta)
+    desc = cd.basin(nu, eta)
+    assert desc.feasible
+    assert desc.contains(eta)
+
+
+@pytest.mark.parametrize("offset, inside", [(5e-13, True), (1e-11, False)])
+def test_float_block_sums_agree_within_1e_12(g6_coset, offset, inside):
+    nu = nu_g6(g6_coset, F(1, 2))  # blocks (0, 1, 2) and (3, 4, 5)
+    eta = cd.ProbMeasure.uniform(g6_coset)
+    candidate = cd.ProbMeasure(g6_coset, (0.5 + offset, 0.0, 0.0, 0.5 - offset, 0.0, 0.0))
+    for target in (eta, eta.to_float()):
+        assert cd.basin(nu, target).contains(candidate) is inside
+        assert cd.same_omega_limit(nu, target, candidate) is inside
+
+
 # --- same omega limit ------------------------------------------------------------------
 
 

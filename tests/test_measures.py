@@ -49,6 +49,21 @@ def test_measure_rejects_mixed_modes(z3):
         cd.ProbMeasure(z3, (0.5, F(1, 4), F(1, 4)))
 
 
+def test_mode_is_stored_at_construction_and_ignored_by_equality(z3, monkeypatch):
+    m = cd.ProbMeasure(z3, (1, 0, 0))
+    delta = cd.ProbMeasure.point_mass(z3, 0)
+    f = cd.TestFunction(z3, (0.5, 1.0, 2.0))
+
+    def rescan(values):
+        raise AssertionError("mode was recomputed after construction")
+
+    monkeypatch.setattr(cd.scalars, "mode_of", rescan)
+    assert (m.mode, f.mode) == ("exact", "float")
+    assert m.weights == (F(1), F(0), F(0))
+    assert m == delta and hash(m) == hash(delta)
+    assert "mode" not in repr(m)
+
+
 def test_float_mode_mass_tolerance(z3):
     cd.ProbMeasure(z3, (0.3, 0.3, 0.4 + 1e-13))
     with pytest.raises(InvalidMeasureError):
