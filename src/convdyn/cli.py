@@ -71,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, extra=[("--initial", dict(required=True, help="initial measure file or inline JSON"))])
 
     p = sub.add_parser("accumulation-points", help="all accumulation points of the power sequence")
-    _add_common(p, extra=[
-        ("--tol", dict(type=float, default=dynamics.ACCUMULATION_TOL)),
-    ])
+    _add_common(p)
 
     p = sub.add_parser("fixed-points", help="solutions of the Choquet-Deny equation")
     _add_common(p)
@@ -234,7 +232,7 @@ def cmd_omega_limit(args):
 
 def cmd_accumulation_points(args):
     nu = _one_measure(args)
-    report = dynamics.accumulation_points(nu, tol=args.tol)
+    report = dynamics.accumulation_points(nu)
     return {
         "points": [serialize.weights_to_json(p.weights) for p in report.points],
         "period": report.period,

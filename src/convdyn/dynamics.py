@@ -2,22 +2,22 @@
 
 One orientation is used consistently: T acts by right convolution, i.e.
 row-vector multiplication by the transition matrix of nu.  A left-action
-convenience (``apply_left``) exists but none of the limit results below
-depend on it.
+convenience (``apply_step_left``) exists but none of the limit results
+below depend on it.
 
 For acyclic nu the orbit of every mu converges; the limit is mu times the
 closed-form limit matrix, its fixed points are exactly the solutions of
 the Choquet-Deny equation convolve(mu, nu) = mu, and the basin of each
 reachable limit is a coset-block-sum constraint system intersected with
 the simplex.
+
+Each result is read off H = <supp nu>, its left cosets and the support
+powers, and certified by exact checks; no float iteration is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import scalars
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     NotAcyclicError,
     VerificationError,
 )
-from .groups import CosetDecomposition, coset_decomposition
+from .groups import CosetDecomposition, coset_decomposition, is_subgroup
 from .measures import (
     ProbMeasure,
     _require_same_group,
@@ -35,13 +35,7 @@ from .measures import (
     l1_distance,
     support_orbit,
 )
-from .rational_linalg import nullspace
 from .scalars import EXACT, Scalar
-from .transition import transition_matrix
-
-ACCUMULATION_TOL = 1e-10
-_SUBSEQ_SETTLE_TOL = 1e-13
-_SUBSEQ_MAX_ROUNDS = 10**5
 
 
 def apply_step(nu: ProbMeasure, mu: ProbMeasure) -> ProbMeasure:
@@ -84,8 +78,8 @@ class OmegaLimitReport:
 
     Acyclic driving measure: a single point and period 1.  Otherwise one
     point per support-power cycle set, in cycle order, and ``periodic``
-    is set.  ``verified`` records that each claimed point was checked
-    against float iteration along its subsequence.
+    is set.  ``verified`` records that the points were certified exactly
+    (see :func:`accumulation_points`); a failed certificate raises instead.
     """
 
     driving: ProbMeasure
@@ -109,20 +103,18 @@ def omega_limit(nu: ProbMeasure, mu: ProbMeasure) -> OmegaLimitReport:
     )
 
 
-def accumulation_points(
-    nu: ProbMeasure,
-    tol: float = ACCUMULATION_TOL,
-    max_rounds: int = _SUBSEQ_MAX_ROUNDS,
-) -> OmegaLimitReport:
+def accumulation_points(nu: ProbMeasure) -> OmegaLimitReport:
     """All accumulation points of the power sequence nu, nu^2, nu^3, ...
 
-    Acyclic case: the single uniform limit.  Otherwise the support powers
-    cycle through d sets K_1..K_d and the claim is one accumulation point
-    per set, the uniform measure on K_j.  Because that case rests on a
-    sketched argument, every claimed point is verified here by float
-    iteration along its subsequence (exponents congruent mod d); a
-    mismatch raises :class:`VerificationError` rather than being
-    returned.
+    Acyclic case: the single uniform limit.  Otherwise, after t =
+    pre_period transient sets, the support powers cycle through d sets
+    K_j = S^(t+1+j), and nu^(t+1+j+md) tends to U_{K_j} as m grows.
+
+    Certified exactly: N = S^e (e >= t+1, e = 0 mod d) is checked to be a
+    subgroup and each K_j to be the coset xN with x = min(K_j).  Then nu^e
+    has full support on N, so (nu^e)^q tends to U_N; each nu^(t+1+j+rd)
+    lives on xN, and any measure on xN convolved with U_N is U_{xN}.  A
+    failed check raises :class:`VerificationError`.
     """
     so = support_orbit(nu)
     if so.acyclic:
@@ -130,34 +122,16 @@ def accumulation_points(
         return OmegaLimitReport(
             driving=nu, initial=nu, points=(point,), periodic=False, period=1, verified=True
         )
+    g = nu.group
     d = so.period
-    t = so.pre_period
-    claims = tuple(ProbMeasure.uniform(nu.group, ks).in_mode(nu.mode) for ks in so.cycle_sets)
-
-    af = transition_matrix(nu).as_float_array()
-    step_d = np.linalg.matrix_power(af, d)
-    nu_f = np.array([float(w) for w in nu.weights], dtype=float)
-    for j, claim in enumerate(claims):
-        # first exponent in this residue class inside the cycle: t + 1 + j
-        vec = nu_f @ np.linalg.matrix_power(af, t + j) if t + j > 0 else nu_f.copy()
-        rounds = 0
-        while True:
-            nxt = vec @ step_d
-            rounds += 1
-            if np.max(np.abs(nxt - vec)) < _SUBSEQ_SETTLE_TOL:
-                vec = nxt
-                break
-            if rounds >= max_rounds:
-                raise VerificationError(
-                    f"subsequence {j} did not settle within {max_rounds} rounds"
-                )
-            vec = nxt
-        claim_f = np.array([float(w) for w in claim.weights], dtype=float)
-        if np.max(np.abs(vec - claim_f)) > tol:
-            raise VerificationError(
-                f"claimed accumulation point {j} differs from the subsequence "
-                f"limit by {np.max(np.abs(vec - claim_f)):.3e} (> {tol})"
-            )
+    n_set = so.cycle_sets[(-(so.pre_period + 1)) % d]
+    if not is_subgroup(g, n_set):  # a * b^-1 in N for all a, b: the identity is in N
+        raise VerificationError("the support powers of exponent 0 mod d are not a subgroup")
+    for j, ks in enumerate(so.cycle_sets):
+        x = min(ks)
+        if ks != frozenset(g.cayley[x][m] for m in n_set):
+            raise VerificationError(f"cycle set {j} is not a left coset of that subgroup")
+    claims = tuple(ProbMeasure.uniform(g, ks).in_mode(nu.mode) for ks in so.cycle_sets)
     return OmegaLimitReport(
         driving=nu, initial=nu, points=claims, periodic=True, period=d, verified=True
     )
@@ -181,11 +155,14 @@ class FixedPointSet:
 def fixed_points(nu: ProbMeasure) -> FixedPointSet:
     """Fixed measures of the dynamics, exactly.
 
-    The basis claim (uniform measure on each left coset of H) is
-    cross-checked two ways: each basis element is verified fixed by
-    direct convolution, and the full linear system mu (A - I) = 0 is
-    solved by rational elimination to confirm the solution-space
-    dimension equals the number of cosets.
+    Each basis element, the uniform measure on a left coset of H, is
+    checked fixed by direct convolution.  The dimension is the number of
+    cosets less one without a solve: the transition matrix A is
+    block-diagonal over the left cosets of H, each block the walk on H
+    with steps in supp nu.  That walk is irreducible because supp nu
+    generates H (the breadth-first search in ``generated_subgroup`` is
+    the connectivity certificate), so by Perron-Frobenius each block
+    fixes exactly one direction.
     """
     if nu.mode != EXACT:
         raise ModeMismatchError("fixed_points requires an exact measure")
@@ -196,17 +173,6 @@ def fixed_points(nu: ProbMeasure) -> FixedPointSet:
     for b in basis:
         if convolve(b, nu).weights != b.weights:
             raise VerificationError("uniform coset measure is unexpectedly not fixed")
-    a = transition_matrix(nu).entries
-    n = g.order
-    # mu (A - I) = 0  <=>  (A - I)^T x = 0
-    system = [
-        [Fraction(a[i][j]) - (1 if i == j else 0) for i in range(n)] for j in range(n)
-    ]
-    null_dim = len(nullspace(system))
-    if null_dim != len(dec.blocks):
-        raise VerificationError(
-            f"null space dimension {null_dim} != coset count {len(dec.blocks)}"
-        )
     return FixedPointSet(nu, basis, len(dec.blocks) - 1, dec)
 
 

@@ -32,11 +32,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetError, DomainError
 from .measures import ProbMeasure, l1_distance
+
+if TYPE_CHECKING:  # numpy is imported only by the functions that use it
+    import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -58,6 +60,8 @@ def _budget() -> int:
 
 def mix64(state: np.ndarray) -> np.ndarray:
     """SplitMix64 output finalizer over uint64 arrays."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         z = state
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -67,6 +71,8 @@ def mix64(state: np.ndarray) -> np.ndarray:
 
 def draw_matrix(seed: int, trials: int, steps: int) -> np.ndarray:
     """The (trials, steps) matrix of raw 64-bit draws defined above."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         t = np.arange(1, trials + 1, dtype=np.uint64)
         streams = mix64(np.uint64(seed) + t * np.uint64(GAMMA))
@@ -105,6 +111,8 @@ def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:
     element has weight zero) are dropped: no 64-bit r ever meets them, and
     they would not fit in the uint64 array.
     """
+    import numpy as np
+
     out = []
     acc = Fraction(0)
     for w in measure.weights[:-1]:
@@ -118,6 +126,8 @@ def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:
 
 
 def _walk_endpoints(cfg: WalkConfig, draws: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     thresholds = cdf_thresholds(cfg.measure)
     indices = np.searchsorted(thresholds, draws, side="right")
     cayley = np.array(cfg.measure.group.cayley, dtype=np.int64)
@@ -130,6 +140,8 @@ def _walk_endpoints(cfg: WalkConfig, draws: np.ndarray) -> np.ndarray:
 def sample_walk(cfg: WalkConfig, trial: int = 0) -> int:
     """One realization: the ordered product of ``steps`` i.i.d. draws,
     taken from the stream for (seed, trial)."""
+    import numpy as np
+
     if not 0 <= trial < cfg.trials:
         raise DomainError(f"trial must be in 0..{cfg.trials - 1}")
     with np.errstate(over="ignore"):
@@ -141,6 +153,8 @@ def sample_walk(cfg: WalkConfig, trial: int = 0) -> int:
 
 def empirical_distribution(cfg: WalkConfig) -> ProbMeasure:
     """Frequency vector of walk endpoints over all trials (float mode)."""
+    import numpy as np
+
     draws = draw_matrix(cfg.seed, cfg.trials, cfg.steps)
     endpoints = _walk_endpoints(cfg, draws)
     counts = np.bincount(endpoints, minlength=cfg.measure.group.order)

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import scalars
 from .errors import BudgetError, ConvergenceError, DomainError, NotAcyclicError
-from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_decomposition
+from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_decomposition, generated_subgroup
 from .measures import ProbMeasure, SupportOrbit, support_orbit
 from .scalars import EXACT, Scalar
+
+if TYPE_CHECKING:  # numpy is imported only by the float paths that use it
+    import numpy as np
 
 DEFAULT_BIT_LIMIT = 8_000_000  # ~1 MB of numerator/denominator data per matrix
 DEFAULT_POWER_TOL = 1e-12
@@ -46,6 +48,8 @@ class TransitionMatrix:
         return self.source.mode
 
     def as_float_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
 
@@ -154,6 +158,8 @@ def power_convergence(
     A^{m+d} over a full cycle) and report it instead of spinning until
     ``max_iter``.
     """
+    import numpy as np
+
     if tol <= 0:
         raise DomainError("tol must be positive")
     limit = DEFAULT_MAX_ITER if max_iter is None else max_iter
@@ -269,7 +275,7 @@ def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
     supp = m.support()
     if not supp:
         raise DomainError("measure has empty support")
-    from .groups import generated_subgroup
+    import numpy as np
 
     h = generated_subgroup(g, supp)
     members = h.members

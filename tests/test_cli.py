@@ -282,6 +282,56 @@ def test_pretty_output(capsys):
     assert "0: 1/3" in out
 
 
+def test_accumulation_points_of_slowly_mixing_measure(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "accumulation-points",
+        "--group",
+        '{"family": "cyclic", "n": 8}',
+        "--measure",
+        '{"weights": ["0", "999999/1000000", "0", "1/1000000", "0", "0", "0", "0"]}',
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "points": [["0", "1/4"] * 4, ["1/4", "0"] * 4],
+        "period": 2,
+        "verified": True,
+    }
+
+
+def _imported_modules(*argv):
+    """Exit status, stdout and the set of modules a fresh interpreter imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+    )
+    modules = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, proc.stdout, modules
+
+
+def test_exact_paths_do_not_load_numpy():
+    def loads_numpy(modules):
+        return any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+    code, _, modules = _imported_modules("-c", "import convdyn")
+    assert code == 0 and "convdyn" in modules and not loads_numpy(modules)
+    code, out, modules = _imported_modules(
+        "-m", "convdyn.cli", "accumulation-points", "--group", '{"family": "cyclic", "n": 4}',
+        "--measure", '{"weights": ["0", "1/2", "0", "1/2"]}',
+    )
+    assert code == 0 and json.loads(out)["period"] == 2
+    assert not loads_numpy(modules)
+    code, out, modules = _imported_modules(
+        "-m", "convdyn.cli", "sample", "--group", Z3, "--measure", NU,
+        "--steps", "3", "--trials", "1000",
+    )
+    assert code == 0 and loads_numpy(modules)
+    assert sum(json.loads(out)["frequencies"]) == pytest.approx(1.0)
+
+
 def test_same_invocation_same_bytes():
     cmd = [
         sys.executable,

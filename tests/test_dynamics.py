@@ -167,6 +167,59 @@ def test_accumulation_points_with_pre_period(z4):
     assert report.points[0].weights == (F(1, 4),) * 4
 
 
+def test_accumulation_points_of_slowly_mixing_measure_on_z8():
+    # the powers approach the two points like (1 - 10^-6)^m, far too slowly
+    # for float iteration to settle; the coset certificate is exact
+    z8 = cd.cyclic_group(8)
+    eps = F(1, 10**6)
+    nu = cd.ProbMeasure(z8, (F(0), 1 - eps, F(0), eps, F(0), F(0), F(0), F(0)))
+    points = [(F(0), F(1, 4)) * 4, (F(1, 4), F(0)) * 4]  # U{1,3,5,7}, U{0,2,4,6}
+    report = cd.accumulation_points(nu)
+    assert report.periodic and report.period == 2 and report.verified
+    assert [p.weights for p in report.points] == points
+    report = cd.accumulation_points(nu.to_float())
+    assert report.period == 2 and report.verified
+    assert [p.weights for p in report.points] == [tuple(map(float, p)) for p in points]
+
+
+def test_coset_certificates_agree_with_elimination_and_float_powers():
+    """Reference cross-checks for the exact certificates: the fixed-point
+    dimension against the rational null space of (A - I)^T, and each
+    accumulation point against a float power far along its subsequence."""
+    import numpy as np
+
+    from convdyn.rational_linalg import nullspace
+
+    rng = random.Random(2013)
+    groups = [
+        cd.symmetric_group(4),
+        cd.dihedral_group(6),
+        cd.cyclic_group(12),
+        cd.product_group(cd.cyclic_group(4), cd.symmetric_group(3)),
+    ]
+    non_acyclic = 0
+    for g in groups:
+        n = g.order
+        for _ in range(15):
+            nu = random_exact_measure(rng, g, support=rng.sample(range(n), rng.randint(1, 3)))
+            a = cd.transition_matrix(nu).entries
+            system = [[a[i][j] - (i == j) for i in range(n)] for j in range(n)]
+            assert cd.fixed_points(nu).dimension + 1 == len(nullspace(system))
+            so = cd.support_orbit(nu)
+            if so.acyclic:
+                continue
+            non_acyclic += 1
+            report = cd.accumulation_points(nu)
+            af = cd.transition_matrix(nu).as_float_array()
+            far = np.linalg.matrix_power(af, 2000 * so.period)
+            row = np.array([float(w) for w in nu.weights]) @ np.linalg.matrix_power(af, so.pre_period)
+            for point in report.points:  # row is nu A^(t+j) for point j
+                expected = np.array([float(w) for w in point.weights])
+                assert np.max(np.abs(row @ far - expected)) <= 1e-9
+                row = row @ af
+    assert non_acyclic >= 25
+
+
 # --- omega limits ----------------------------------------------------------------
 
 
