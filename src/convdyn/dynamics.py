@@ -327,22 +327,20 @@ def generic_check(nu: ProbMeasure) -> GenericityReport:
     generates = so.subgroup.order == g.order
     acyclic = so.acyclic
     uniform = ProbMeasure.uniform(g)
+    # nu is fully supported, so acyclic: every omega_limit is mu * limit
+    limit = limit_of_powers(nu)
     if nu.mode == EXACT:
         fps = fixed_points(nu)
         unique_uniform = len(fps.basis) == 1 and fps.basis[0].weights == uniform.weights
         samples = [ProbMeasure.point_mass(g, i) for i in range(g.order)]
         samples.append(uniform)
-        limits_ok = all(
-            omega_limit(nu, mu).points[0].weights == uniform.weights for mu in samples
-        )
+        limits_ok = all(convolve(mu, limit).weights == uniform.weights for mu in samples)
     else:
-        limit = limit_of_powers(nu)
         unique_uniform = float(l1_distance(limit, uniform.to_float())) <= 1e-10
         samples = [ProbMeasure.point_mass(g, i).to_float() for i in range(g.order)]
         samples.append(uniform.to_float())
         limits_ok = all(
-            float(l1_distance(omega_limit(nu, mu).points[0], uniform.to_float())) <= 1e-10
-            for mu in samples
+            float(l1_distance(convolve(mu, limit), uniform.to_float())) <= 1e-10 for mu in samples
         )
     return GenericityReport(
         nu,

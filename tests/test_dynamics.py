@@ -540,6 +540,23 @@ def test_generic_check_uniform(s3):
     assert report.generic
 
 
+@pytest.mark.parametrize("to_mode", [lambda m: m, lambda m: m.to_float()])
+def test_generic_check_computes_the_limit_once(monkeypatch, to_mode):
+    from convdyn import dynamics
+
+    calls = []
+    real = dynamics.support_orbit
+    monkeypatch.setattr(dynamics, "support_orbit", lambda nu: calls.append(nu) or real(nu))
+    counts = []
+    for g in (cd.cyclic_group(3), cd.symmetric_group(4)):
+        n = g.order
+        nu = to_mode(cd.ProbMeasure(g, tuple(F(2 * (i + 1), n * (n + 1)) for i in range(n))))
+        calls.clear()
+        assert cd.generic_check(nu).generic
+        counts.append(len(calls))
+    assert counts[0] == counts[1]  # not one support orbit per sample measure
+
+
 def test_pushforward_commutes_with_limits(z6, z3):
     phi = cd.check_homomorphism(z6, z3, [i % 3 for i in range(6)])
     rng = random.Random(43)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -220,3 +221,171 @@ def test_dihedral_relations():
     assert any(
         d4.cayley[i][j] != d4.cayley[j][i] for i in range(8) for j in range(8)
     )
+
+
+# --- the documented element order of every family, against per-pair definitions -------------
+
+
+def _reference_group(n, mul, labels):
+    """(labels, cayley, identity, inverses) from a product given pair by pair."""
+    cayley = tuple(tuple(mul(i, j) for j in range(n)) for i in range(n))
+    identity = next(e for e in range(n) if all(mul(e, j) == j == mul(j, e) for j in range(n)))
+    inverses = tuple(next(j for j in range(n) if mul(i, j) == identity) for i in range(n))
+    return tuple(labels), cayley, identity, inverses
+
+
+def _reference_cyclic(n):
+    return _reference_group(n, lambda i, j: (i + j) % n, [str(i) for i in range(n)])
+
+
+def _reference_dihedral(n):
+    # index f*n + k is s^f r^k; r^k s^f = s^f r^((-1)^f k)
+    def mul(a, b):
+        (f1, k1), (f2, k2) = divmod(a, n), divmod(b, n)
+        return ((f1 + f2) % 2) * n + ((-k1 if f2 else k1) + k2) % n
+
+    return _reference_group(2 * n, mul, [f"r{k}" for k in range(n)] + [f"sr{k}" for k in range(n)])
+
+
+def _reference_symmetric(n):
+    perms = sorted(itertools.permutations(range(n)))  # lexicographic one-line order
+    index = {p: i for i, p in enumerate(perms)}
+
+    def mul(i, j):  # composition: (p*q)(x) = p(q(x))
+        p, q = perms[i], perms[j]
+        return index[tuple(p[q[x]] for x in range(n))]
+
+    return _reference_group(len(perms), mul, ["".join(map(str, p)) for p in perms])
+
+
+def _reference_product(g1, g2):
+    n2 = g2.order
+
+    def mul(x, y):
+        (a1, b1), (a2, b2) = divmod(x, n2), divmod(y, n2)
+        return g1.cayley[a1][a2] * n2 + g2.cayley[b1][b2]
+
+    labels = [f"({la},{lb})" for la in g1.labels for lb in g2.labels]
+    return _reference_group(g1.order * n2, mul, labels)
+
+
+def _parts(g):
+    return g.labels, g.cayley, g.identity, g.inverses
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cyclic_group_matches_its_documented_element_order(n):
+    assert _parts(cd.cyclic_group(n)) == _reference_cyclic(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dihedral_group_matches_its_documented_element_order(n):
+    assert _parts(cd.dihedral_group(n)) == _reference_dihedral(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_matches_its_documented_element_order(n):
+    assert _parts(cd.symmetric_group(n)) == _reference_symmetric(n)
+
+
+@pytest.mark.parametrize(
+    "g1,g2",
+    [(cd.cyclic_group(2), cd.symmetric_group(3)), (cd.symmetric_group(3), cd.symmetric_group(3))],
+    ids=["Z2xS3", "S3xS3"],
+)
+def test_product_group_matches_its_documented_element_order(g1, g2):
+    assert _parts(cd.product_group(g1, g2)) == _reference_product(g1, g2)
+
+
+def test_symmetric_group_checks_the_cap_before_enumerating(monkeypatch):
+    from convdyn import groups
+
+    def refuse(*args):
+        raise AssertionError("permutations enumerated before the order cap was checked")
+
+    monkeypatch.setattr(groups.itertools, "permutations", refuse)
+    with pytest.raises(DomainError, match="exceeds cap"):
+        cd.symmetric_group(8)
+
+
+# --- validate_table against the lexicographic O(n^3) scan ---------------------------------------
+
+
+def _reference_validate(cayley):
+    """Every axiom checked entry by entry; associativity by scanning all
+    triples (i, j, k) in lexicographic order."""
+    violations = []
+    n = len(cayley)
+    for i in range(n):
+        if len(set(cayley[i])) != n:
+            violations.append(("latin-square", (i,), f"row {i} repeats an element"))
+    for j in range(n):
+        if len({cayley[i][j] for i in range(n)}) != n:
+            violations.append(("latin-square", (j,), f"column {j} repeats an element"))
+    identity = next(
+        (e for e in range(n)
+         if all(cayley[e][j] == j for j in range(n)) and all(cayley[i][e] == i for i in range(n))),
+        None,
+    )
+    if identity is None:
+        violations.append(("identity", (), "no two-sided identity element"))
+    else:
+        for i in range(n):
+            if not any(cayley[i][j] == identity and cayley[j][i] == identity for j in range(n)):
+                violations.append(("inverse", (i,), f"element {i} has no two-sided inverse"))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        left, right = cayley[cayley[i][j]][k], cayley[i][cayley[j][k]]
+        if left != right:
+            detail = f"(g{i}*g{j})*g{k} = g{left} but g{i}*(g{j}*g{k}) = g{right}"
+            violations.append(("associativity", (i, j, k), detail))
+            break
+    return violations
+
+
+def _random_latin_square(rng, n):
+    """A Latin square filled cell by cell, each from a random order of the
+    symbols, backtracking on dead ends."""
+    square = [[None] * n for _ in range(n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        for v in rng.sample(range(n), n):
+            if v not in used:
+                square[i][j] = v
+                if fill(cell + 1):
+                    return True
+        square[i][j] = None
+        return False
+
+    fill(0)
+    return square
+
+
+def _as_loop(square):
+    """Reorder columns and then rows so that element 0 is a two-sided identity."""
+    n = len(square)
+    col_of = {v: j for j, v in enumerate(square[0])}
+    square = [[row[col_of[v]] for v in range(n)] for row in square]
+    return sorted(square, key=lambda row: row[0])
+
+
+def test_validate_table_matches_the_lexicographic_scan():
+    rng = random.Random(20240)
+    outcomes = collections.Counter()
+    for t in range(500):
+        n = rng.randint(1, 8)
+        square = _random_latin_square(rng, n)
+        if t % 3:
+            square = _as_loop(square)
+        if t % 3 == 2:
+            square[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        expected = _reference_validate(square)
+        report = [(v.axiom, v.witness, v.detail) for v in cd.validate_table(square)]
+        assert report == expected, square
+        axioms = {v[0] for v in expected}
+        outcomes["identity" not in axioms, "associativity" not in axioms] += 1
+    # every branch is taken: Light's test passing and failing, and no identity
+    assert min(outcomes[True, True], outcomes[True, False], outcomes[False, False]) >= 50
