@@ -25,7 +25,6 @@ from .groups import (
     GroupHom,
     GroupViolation,
     Subgroup,
-    build_group,
     check_homomorphism,
     coset_decomposition,
     cyclic_group,
@@ -76,7 +75,6 @@ from .dynamics import (
     accumulation_points,
     acyclic_perturbation,
     apply_step,
-    apply_step_left,
     basin,
     fixed_points,
     generic_check,

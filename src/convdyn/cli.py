@@ -15,8 +15,8 @@ import sys
 
 from . import dynamics, montecarlo, serialize
 from .errors import ConvdynError, ModeMismatchError, ParseError
-from .groups import validate_table
-from .measures import ProbMeasure, convolve, support_orbit
+from .groups import validate_group, validate_table
+from .measures import ProbMeasure, convolve, l1_distance, pushforward, support_orbit
 from .scalars import parse_scalar, scalar_to_json
 from .transition import (
     convolution_power,
@@ -114,24 +114,25 @@ def _effective_mode(args) -> str:
     return "exact"
 
 
-def _measures(args, count: int):
-    group = _group(args)
-    sources = args.measure or []
-    if len(sources) != count:
-        raise ParseError(f"expected {count} --measure argument(s), got {len(sources)}")
+def _load(args, group, *sources) -> list[ProbMeasure]:
+    """Every measure the CLI reads: load each source on ``group`` (None:
+    the group the measure names), then apply the effective mode once."""
     loaded = [serialize.load_measure(s, group=group) for s in sources]
     if _effective_mode(args) == "float":
         loaded = [m.to_float() for m in loaded]
     return loaded
 
 
+def _measures(args, count: int) -> list[ProbMeasure]:
+    group = _group(args)
+    sources = args.measure or []
+    if len(sources) != count:
+        raise ParseError(f"expected {count} --measure argument(s), got {len(sources)}")
+    return _load(args, group, *sources)
+
+
 def _one_measure(args) -> ProbMeasure:
     return _measures(args, 1)[0]
-
-
-def _aux_measure(args, source: str, like: ProbMeasure) -> ProbMeasure:
-    m = serialize.load_measure(source, group=like.group)
-    return m.to_float() if _effective_mode(args) == "float" else m
 
 
 def cmd_validate(args):
@@ -149,8 +150,6 @@ def cmd_validate(args):
             group = serialize.group_from_json(obj)
     else:
         group = serialize.load_group(args.group)
-        from .groups import validate_group
-
         violations = [v.to_json() for v in validate_group(group)]
     if args.measure:
         if group is None:
@@ -219,25 +218,23 @@ def cmd_limit(args):
     return {"limit": serialize.weights_to_json(limit.weights)}, m.group
 
 
-def cmd_omega_limit(args):
-    nu = _one_measure(args)
-    mu = _aux_measure(args, args.initial, nu)
-    report = dynamics.omega_limit(nu, mu)
+def _points_payload(report: dynamics.OmegaLimitReport) -> dict:
     return {
         "points": [serialize.weights_to_json(p.weights) for p in report.points],
         "period": report.period,
         "verified": report.verified,
-    }, nu.group
+    }
+
+
+def cmd_omega_limit(args):
+    nu = _one_measure(args)
+    (mu,) = _load(args, nu.group, args.initial)
+    return _points_payload(dynamics.omega_limit(nu, mu)), nu.group
 
 
 def cmd_accumulation_points(args):
     nu = _one_measure(args)
-    report = dynamics.accumulation_points(nu)
-    return {
-        "points": [serialize.weights_to_json(p.weights) for p in report.points],
-        "period": report.period,
-        "verified": report.verified,
-    }, nu.group
+    return _points_payload(dynamics.accumulation_points(nu)), nu.group
 
 
 def cmd_fixed_points(args):
@@ -251,13 +248,13 @@ def cmd_fixed_points(args):
 
 def cmd_recurrent(args):
     nu = _one_measure(args)
-    mu = _aux_measure(args, args.initial, nu)
+    (mu,) = _load(args, nu.group, args.initial)
     return {"recurrent": dynamics.is_recurrent(nu, mu)}, nu.group
 
 
 def cmd_basin(args):
     nu = _one_measure(args)
-    eta = _aux_measure(args, args.eta, nu)
+    (eta,) = _load(args, nu.group, args.eta)
     desc = dynamics.basin(nu, eta)
     payload = {
         "constraints": [
@@ -270,7 +267,7 @@ def cmd_basin(args):
     if not desc.feasible:
         payload["witness_block"] = desc.witness_block
     if args.candidate is not None:
-        candidate = _aux_measure(args, args.candidate, nu)
+        (candidate,) = _load(args, nu.group, args.candidate)
         payload["member"] = desc.contains(candidate)
     return payload, nu.group
 
@@ -279,8 +276,6 @@ def cmd_perturb(args):
     nu = _one_measure(args)
     eps = parse_scalar(args.eps)
     result = dynamics.acyclic_perturbation(nu, eps)
-    from .measures import l1_distance
-
     return {
         "weights": serialize.weights_to_json(result.weights),
         "distance": scalar_to_json(l1_distance(nu, result)),
@@ -291,11 +286,7 @@ def cmd_pushforward(args):
     hom = serialize.load_hom(args.hom)
     if not args.measure or len(args.measure) != 1:
         raise ParseError("pushforward requires exactly one --measure")
-    m = serialize.load_measure(args.measure[0], group=hom.source)
-    if _effective_mode(args) == "float":
-        m = m.to_float()
-    from .measures import pushforward
-
+    (m,) = _load(args, hom.source, *args.measure)
     result = pushforward(hom, m)
     return {"weights": serialize.weights_to_json(result.weights)}, hom.target
 

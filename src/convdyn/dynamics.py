@@ -1,9 +1,7 @@
 """The dynamical system T(mu) = convolve(mu, nu) for a fixed driving measure.
 
 One orientation is used consistently: T acts by right convolution, i.e.
-row-vector multiplication by the transition matrix of nu.  A left-action
-convenience (``apply_step_left``) exists but none of the limit results
-below depend on it.
+row-vector multiplication by the transition matrix of nu.
 
 For acyclic nu the orbit of every mu converges; the limit is mu times the
 closed-form limit matrix, its fixed points are exactly the solutions of
@@ -24,12 +22,12 @@ from .errors import (
     DomainError,
     GroupMismatchError,
     ModeMismatchError,
-    NotAcyclicError,
     VerificationError,
 )
 from .groups import CosetDecomposition, coset_decomposition, is_subgroup
 from .measures import (
     ProbMeasure,
+    _acyclic_orbit,
     _require_same_group,
     convolve,
     l1_distance,
@@ -41,12 +39,6 @@ from .scalars import EXACT, Scalar
 def apply_step(nu: ProbMeasure, mu: ProbMeasure) -> ProbMeasure:
     """One step of the dynamics: convolve(mu, nu), linear in mu."""
     return convolve(mu, nu)
-
-
-def apply_step_left(nu: ProbMeasure, mu: ProbMeasure) -> ProbMeasure:
-    """Left-action variant convolve(nu, mu); coincides with apply_step on
-    abelian groups, unused by the limit theorems."""
-    return convolve(nu, mu)
 
 
 def orbit(nu: ProbMeasure, mu: ProbMeasure, steps: int) -> list[ProbMeasure]:
@@ -63,12 +55,9 @@ def orbit(nu: ProbMeasure, mu: ProbMeasure, steps: int) -> list[ProbMeasure]:
 def limit_of_powers(nu: ProbMeasure) -> ProbMeasure:
     """Limit of the convolution powers of an acyclic measure: uniform on
     the subgroup generated by the support."""
-    so = support_orbit(nu)
-    if not so.acyclic:
-        raise NotAcyclicError(
-            "powers of a non-acyclic measure do not converge; "
-            "use accumulation_points instead"
-        )
+    so = _acyclic_orbit(
+        nu, "powers of a non-acyclic measure do not converge; use accumulation_points instead"
+    )
     return ProbMeasure.uniform(nu.group, so.subgroup.members).in_mode(nu.mode)
 
 
@@ -220,9 +209,7 @@ class BasinDescription:
 def basin(nu: ProbMeasure, eta: ProbMeasure) -> BasinDescription:
     """Describe the basin of eta under an acyclic driving measure."""
     _require_same_group(nu, eta)
-    so = support_orbit(nu)
-    if not so.acyclic:
-        raise NotAcyclicError("basins are defined for acyclic driving measures")
+    so = _acyclic_orbit(nu, "basins are defined for acyclic driving measures")
     dec = coset_decomposition(nu.group, so.subgroup)
     n = nu.group.order
     l = len(dec.blocks)
@@ -244,9 +231,7 @@ def same_omega_limit(nu: ProbMeasure, mu1: ProbMeasure, mu2: ProbMeasure) -> boo
     on every left coset of H."""
     _require_same_group(nu, mu1)
     _require_same_group(nu, mu2)
-    so = support_orbit(nu)
-    if not so.acyclic:
-        raise NotAcyclicError("omega limits compare only for acyclic driving measures")
+    so = _acyclic_orbit(nu, "omega limits compare only for acyclic driving measures")
     dec = coset_decomposition(nu.group, so.subgroup)
     for block in dec.blocks:
         s1 = sum(mu1.weights[i] for i in block)
@@ -267,16 +252,15 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
     2*ebar <= eps, with equality when eps <= a.  Elements outside H keep
     weight zero; a full-support-on-H measure is returned unchanged.
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise DomainError("eps must be positive")
     so = support_orbit(nu)
     supp = so.sets[0]
     h_members = so.subgroup.member_set()
     if supp == h_members:
         return nu
-    eps = scalars.coerce(eps, nu.mode)
     a = min(w for w in nu.weights if w > 0)
-    ebar = min(eps, a) / 2
+    ebar = scalars.coerce(min(eps, a), nu.mode) / 2  # an infinite eps is no bound
     gain = ebar / (len(h_members) - len(supp))
     loss = ebar / len(supp)
     weights = []

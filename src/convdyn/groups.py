@@ -206,17 +206,14 @@ def validate_group(g: FiniteGroup) -> list[GroupViolation]:
     """Re-check every invariant of a built group, including the stored
     identity and inverse tables."""
     violations = validate_table(g.cayley)
-    n = g.order
     if not any(v.axiom in ("shape", "identity") for v in violations):
-        if not (
-            g.cayley[g.identity] == tuple(range(n))
-            and all(row[g.identity] == i for i, row in enumerate(g.cayley))
-        ):
+        e, inv = g.identity, g.inverses
+        if _identity_of(g.cayley) != e:  # a two-sided identity is unique
             violations.append(
-                GroupViolation("identity", (g.identity,), "stored identity index is wrong")
+                GroupViolation("identity", (e,), "stored identity index is wrong")
             )
-        for i in range(n):
-            if g.cayley[i][g.inverses[i]] != g.identity or g.cayley[g.inverses[i]][i] != g.identity:
+        for i, row in enumerate(g.cayley):
+            if row[inv[i]] != e or g.cayley[inv[i]][i] != e:
                 violations.append(
                     GroupViolation("inverse", (i,), f"stored inverse of {i} is wrong")
                 )
@@ -336,31 +333,6 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return _finish(labels, cayley)
 
 
-def build_group(family: str, *, n: int | None = None, factors=None, cayley=None, labels=None) -> FiniteGroup:
-    """Dispatch on a family tag; this is the constructor the JSON loader uses."""
-    if family == "cyclic":
-        if n is None:
-            raise DomainError("cyclic family requires n")
-        return cyclic_group(n)
-    if family == "dihedral":
-        if n is None:
-            raise DomainError("dihedral family requires n")
-        return dihedral_group(n)
-    if family == "symmetric":
-        if n is None:
-            raise DomainError("symmetric family requires n")
-        return symmetric_group(n)
-    if family == "product":
-        if not factors or len(factors) != 2:
-            raise DomainError("product family requires exactly two factors")
-        return product_group(factors[0], factors[1])
-    if family == "table":
-        if cayley is None:
-            raise DomainError("table family requires a cayley table")
-        return group_from_table(cayley, labels)
-    raise DomainError(f"unknown group family {family!r}")
-
-
 def relabel_group(g: FiniteGroup, order, labels=None) -> FiniteGroup:
     """Return the same group with elements listed in a new order.
 
@@ -470,13 +442,6 @@ class CosetDecomposition:
     def group(self) -> FiniteGroup:
         return self.subgroup.parent
 
-    def block_index(self, i: int) -> int:
-        """Index of the coset block containing element i."""
-        for m, block in enumerate(self.blocks):
-            if i in block:
-                return m
-        raise DomainError(f"element {i} not covered by the decomposition")
-
 
 def coset_decomposition(g: FiniteGroup, h: Subgroup) -> CosetDecomposition:
     """Decompose G into left cosets of H, representatives by lowest unused index."""
@@ -510,9 +475,6 @@ class GroupHom:
     source: FiniteGroup
     target: FiniteGroup
     map: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.map[i]
 
 
 def check_homomorphism(src: FiniteGroup, tgt: FiniteGroup, mapping) -> GroupHom:

@@ -23,6 +23,7 @@ from .errors import (
     GroupMismatchError,
     InvalidMeasureError,
     ModeMismatchError,
+    NotAcyclicError,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, generated_subgroup
 from .scalars import EXACT, FLOAT, Scalar
@@ -298,6 +299,15 @@ def support_orbit(m: ProbMeasure, max_steps: int | None = None) -> SupportOrbit:
         acyclic=acyclic,
         witness=witness,
     )
+
+
+def _acyclic_orbit(m: ProbMeasure, message: str) -> SupportOrbit:
+    """The support orbit of m; raises :class:`NotAcyclicError` with
+    ``message`` when m is not acyclic."""
+    so = support_orbit(m)
+    if not so.acyclic:
+        raise NotAcyclicError(message)
+    return so
 
 
 def is_acyclic(m: ProbMeasure) -> bool:

@@ -24,8 +24,12 @@ from .errors import ParseError
 from .groups import (
     FiniteGroup,
     GroupHom,
-    build_group,
     check_homomorphism,
+    cyclic_group,
+    dihedral_group,
+    group_from_table,
+    product_group,
+    symmetric_group,
 )
 from .measures import ProbMeasure
 from .scalars import parse_weights, scalar_to_json
@@ -71,15 +75,13 @@ def group_from_json(obj, base_dir: str | None = None) -> FiniteGroup:
             raise ParseError(f"{family} group requires 'n'")
         if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
             raise ParseError("'n' must be an integer")
-        return build_group(family, n=obj["n"])
+        builder = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}[family]
+        return builder(obj["n"])
     if family == "product":
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             raise ParseError("product group requires exactly two 'factors'")
-        return build_group(
-            "product",
-            factors=[group_from_json(f, base_dir) for f in factors],
-        )
+        return product_group(*(group_from_json(f, base_dir) for f in factors))
     if family == "table":
         cayley = obj.get("cayley")
         if not isinstance(cayley, list):
@@ -90,7 +92,7 @@ def group_from_json(obj, base_dir: str | None = None) -> FiniteGroup:
                 raise ParseError("'labels' must be an array of strings")
             if len(set(labels)) != len(labels):
                 raise ParseError("labels must be unique")
-        return build_group("table", cayley=cayley, labels=labels)
+        return group_from_table(cayley, labels)
     raise ParseError(f"unknown group family {family!r}")
 
 

@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import scalars
-from .errors import BudgetError, ConvergenceError, DomainError, NotAcyclicError
+from .errors import BudgetError, ConvergenceError, DomainError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_decomposition, generated_subgroup
-from .measures import ProbMeasure, SupportOrbit, support_orbit
+from .measures import ProbMeasure, _acyclic_orbit, support_orbit
 from .scalars import EXACT, Scalar
 
 if TYPE_CHECKING:  # numpy is imported only by the float paths that use it
@@ -148,7 +148,6 @@ def power_convergence(
     a: TransitionMatrix,
     tol: float = DEFAULT_POWER_TOL,
     max_iter: int | None = None,
-    orbit: SupportOrbit | None = None,
 ) -> PowerIterationResult:
     """Iterate A, A^2, A^3, ... in floats until successive powers agree.
 
@@ -156,15 +155,17 @@ def power_convergence(
     measure is not acyclic the powers cannot converge; the support-power
     period d is then used to detect stable oscillation (A^m close to
     A^{m+d} over a full cycle) and report it instead of spinning until
-    ``max_iter``.
+    ``max_iter`` (default 2^20).  ``tol`` must be positive and ``max_iter``
+    at least 1; both are checked before any multiplication.
     """
     import numpy as np
 
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN, which no distance is below
         raise DomainError("tol must be positive")
     limit = DEFAULT_MAX_ITER if max_iter is None else max_iter
-    if orbit is None:
-        orbit = support_orbit(a.source)
+    if limit < 1:
+        raise DomainError(f"max_iter must be >= 1, got {limit}")
+    orbit = support_orbit(a.source)  # held until return: freeing it early raised peak RSS
     d = orbit.period
     af = a.as_float_array()
     current = af.copy()
@@ -209,23 +210,13 @@ class LimitMatrix:
 
 def limit_matrix_closed_form(m: ProbMeasure) -> LimitMatrix:
     """The limit B with B[i][j] = 1/|H| when g_i^{-1} g_j is in H, else 0."""
-    orbit = support_orbit(m)
-    if not orbit.acyclic:
-        raise NotAcyclicError(
-            "measure is not acyclic; the powers do not converge "
-            "(use accumulation_points for the oscillating family)"
-        )
-    g = m.group
-    h = orbit.subgroup
-    value = Fraction(1, h.order)
-    entries = tuple(
-        tuple(
-            value if g.cayley[g.inverses[i]][j] in h else Fraction(0)
-            for j in range(g.order)
-        )
-        for i in range(g.order)
-    )
-    return LimitMatrix(g, h, entries, value)
+    h = _acyclic_orbit(
+        m,
+        "measure is not acyclic; the powers do not converge "
+        "(use accumulation_points for the oscillating family)",
+    ).subgroup
+    entries = transition_matrix(ProbMeasure.uniform(m.group, h.members)).entries
+    return LimitMatrix(m.group, h, entries, Fraction(1, h.order))
 
 
 @dataclass(frozen=True)

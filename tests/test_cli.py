@@ -85,6 +85,15 @@ def test_power_iterative_rejects_exact_mode(capsys):
     assert err.startswith("error:mode-mismatch:")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--tol", "nan", "tol must be positive"), ("--max-iter", "-3", "max_iter must be >= 1, got -3")],
+)
+def test_power_iterative_rejects_bad_arguments(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "power", "--group", Z3, "--measure", NU, "--iterative", flag, value)
+    assert (code, out, err) == (1, "", f"error:domain: {message}\n")
+
+
 def test_fixed_points_command(capsys):
     code, out, _ = run_cli(capsys, "fixed-points", "--group", Z3, "--measure", NU)
     payload = json.loads(out)

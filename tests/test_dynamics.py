@@ -55,13 +55,6 @@ def test_step_is_linear(small_pool):
         assert lhs == rhs
 
 
-def test_left_action_variant_matches_on_abelian(z6):
-    rng = random.Random(7)
-    nu = random_exact_measure(rng, z6)
-    mu = random_exact_measure(rng, z6)
-    assert cd.apply_step(nu, mu).weights == cd.apply_step_left(nu, mu).weights
-
-
 # --- orbits -------------------------------------------------------------------
 
 
@@ -120,9 +113,30 @@ def test_limit_of_powers_identity_point_mass(s3):
     assert cd.limit_of_powers(delta).weights == delta.weights
 
 
-def test_limit_of_powers_requires_acyclic(z2):
-    with pytest.raises(NotAcyclicError):
-        cd.limit_of_powers(cd.ProbMeasure.point_mass(z2, 1))
+_NOT_ACYCLIC_POWERS = "powers of a non-acyclic measure do not converge; use accumulation_points instead"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda nu, mu: cd.limit_of_powers(nu), _NOT_ACYCLIC_POWERS),
+        (cd.omega_limit, _NOT_ACYCLIC_POWERS),
+        (cd.is_recurrent, _NOT_ACYCLIC_POWERS),
+        (cd.basin, "basins are defined for acyclic driving measures"),
+        (lambda nu, mu: cd.same_omega_limit(nu, mu, mu), "omega limits compare only for acyclic driving measures"),
+        (
+            lambda nu, mu: cd.limit_matrix_closed_form(nu),
+            "measure is not acyclic; the powers do not converge "
+            "(use accumulation_points for the oscillating family)",
+        ),
+    ],
+    ids=["limit_of_powers", "omega_limit", "is_recurrent", "basin", "same_omega_limit", "limit_matrix_closed_form"],
+)
+def test_non_acyclic_driving_measure_is_rejected(z2, call, message):
+    nu = cd.ProbMeasure.point_mass(z2, 1)  # support powers alternate between {1} and {0}
+    with pytest.raises(NotAcyclicError) as exc:
+        call(nu, cd.ProbMeasure.uniform(z2))
+    assert str(exc.value) == message
 
 
 # --- accumulation points ---------------------------------------------------------
@@ -398,12 +412,6 @@ def test_basin_infeasible_target(g6_coset):
     assert not desc.contains(eta)
 
 
-def test_basin_requires_acyclic(z2):
-    nu = cd.ProbMeasure.point_mass(z2, 1)
-    with pytest.raises(NotAcyclicError):
-        cd.basin(nu, cd.ProbMeasure.uniform(z2))
-
-
 def test_basin_membership_is_invariant_under_step(g6_coset):
     nu = nu_g6(g6_coset, F(1, 3))
     eta = cd.ProbMeasure(
@@ -518,6 +526,30 @@ def test_perturbation_random_sweep(sweep_pool):
 def test_perturbation_rejects_nonpositive_eps(z3, nu_z3):
     with pytest.raises(DomainError):
         cd.acyclic_perturbation(nu_z3, F(0))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_perturbation_rejects_nan_eps(z2, mode):
+    nu = cd.ProbMeasure.point_mass(z2, 1).in_mode(mode)
+    with pytest.raises(DomainError):
+        cd.acyclic_perturbation(nu, float("nan"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_perturbation_with_infinite_eps_is_unbounded(g6_coset, mode):
+    # the smallest positive weight is 1/2, so any eps >= 1/2 spreads 1/4
+    nu = nu_g6(g6_coset, F(1, 2)).in_mode(mode)
+    unbounded = cd.acyclic_perturbation(nu, float("inf"))
+    assert unbounded == cd.acyclic_perturbation(nu, F(10))
+    assert cd.l1_distance(nu, unbounded) == F(1, 2)
+
+
+def test_perturbation_eps_of_either_scalar_type(g6_coset):
+    nu = nu_g6(g6_coset, F(1, 3))
+    for eps in (0.1, 0.5):  # below and above the smallest positive weight
+        assert cd.acyclic_perturbation(nu, eps) == cd.acyclic_perturbation(nu, F(eps))
+        fnu = nu.to_float()
+        assert cd.acyclic_perturbation(fnu, F(eps)) == cd.acyclic_perturbation(fnu, eps)
 
 
 # --- generic behavior ---------------------------------------------------------------------

@@ -137,9 +137,10 @@ def test_coset_blocks_partition_and_match_quotient_predicate(s3):
     dec = cd.coset_decomposition(s3, h)
     seen = sorted(i for block in dec.blocks for i in block)
     assert seen == list(range(s3.order))
+    block_of = {i: m for m, block in enumerate(dec.blocks) for i in block}
     for i in range(s3.order):
         for j in range(s3.order):
-            same_block = dec.block_index(i) == dec.block_index(j)
+            same_block = block_of[i] == block_of[j]
             assert same_block == (s3.cayley[s3.inverses[i]][j] in h)
 
 
@@ -389,3 +390,13 @@ def test_validate_table_matches_the_lexicographic_scan():
         outcomes["identity" not in axioms, "associativity" not in axioms] += 1
     # every branch is taken: Light's test passing and failing, and no identity
     assert min(outcomes[True, True], outcomes[True, False], outcomes[False, False]) >= 50
+
+
+def test_validate_group_reports_wrong_stored_identity_and_inverses(s3):
+    assert cd.validate_group(cd.FiniteGroup(s3.labels, s3.cayley, s3.identity, s3.inverses)) == []
+    wrong_identity = cd.validate_group(cd.FiniteGroup(s3.labels, s3.cayley, 1, s3.inverses))
+    assert (wrong_identity[0].axiom, wrong_identity[0].witness) == ("identity", (1,))
+    inverses = list(s3.inverses)
+    inverses[3] = 3  # 120 is a 3-cycle, not its own inverse
+    wrong_inverse = cd.validate_group(cd.FiniteGroup(s3.labels, s3.cayley, s3.identity, inverses))
+    assert [(v.axiom, v.witness) for v in wrong_inverse] == [("inverse", (3,))]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convdyn as cd
-from convdyn.errors import BudgetError, ConvergenceError, NotAcyclicError
+from convdyn.errors import BudgetError, ConvergenceError, DomainError
 from conftest import brute_convolve, nu_g6, random_exact_measure
 
 F = Fraction
@@ -145,6 +145,14 @@ def test_power_convergence_respects_max_iter(nu_z3):
         cd.power_convergence(cd.transition_matrix(nu_z3), tol=1e-15, max_iter=2)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": float("nan")}, {"max_iter": 0}, {"max_iter": -3}], ids=["nan-tol", "zero", "negative"]
+)
+def test_power_convergence_rejects_bad_arguments_before_iterating(nu_z3, kwargs):
+    with pytest.raises(DomainError):
+        cd.power_convergence(cd.transition_matrix(nu_z3), **kwargs)
+
+
 def test_power_convergence_order6_checkerboard(g6):
     nu = nu_g6(g6, F(1, 2))
     result = cd.power_convergence(cd.transition_matrix(nu))
@@ -177,11 +185,6 @@ def test_limit_matrix_of_identity_point_mass(s3):
     for i in range(6):
         for j in range(6):
             assert b.entries[i][j] == (1 if i == j else 0)
-
-
-def test_limit_matrix_requires_acyclic(z2):
-    with pytest.raises(NotAcyclicError):
-        cd.limit_matrix_closed_form(cd.ProbMeasure.point_mass(z2, 1))
 
 
 def test_limit_matrix_is_idempotent_and_doubly_stochastic(small_pool):
