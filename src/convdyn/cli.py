@@ -19,6 +19,7 @@ from .groups import validate_group, validate_table
 from .measures import ProbMeasure, convolve, l1_distance, pushforward, support_orbit
 from .scalars import parse_scalar, scalar_to_json
 from .transition import (
+    DEFAULT_POWER_TOL,
     convolution_power,
     power_convergence,
     transition_matrix,
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, extra=[
         ("--exponent", dict(type=int, help="power to compute exactly")),
         ("--iterative", dict(action="store_true", help="iterate matrix powers in floats")),
-        ("--tol", dict(type=float, default=1e-12)),
+        ("--tol", dict(type=float, default=DEFAULT_POWER_TOL)),
         ("--max-iter", dict(type=int, default=None)),
     ])
 
@@ -321,11 +322,12 @@ _HANDLERS = {
 }
 
 _MEASURE_KEYS = ("weights", "limit", "frequencies")
+_MAX_ALIGNED = 12  # matrices with more rows print unaligned
 
 
-def _align(entries, max_aligned: int = 12) -> list[str]:
+def _align(entries) -> list[str]:
     rows = [[str(x) for x in row] for row in entries]
-    if len(rows) > max_aligned:
+    if len(rows) > _MAX_ALIGNED:
         return [" ".join(r) for r in rows]
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]

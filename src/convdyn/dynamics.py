@@ -302,35 +302,27 @@ class GenericityReport:
 def generic_check(nu: ProbMeasure) -> GenericityReport:
     """Check membership in the open dense set of fully supported measures
     and, for members, verify the generic limit behavior on a deterministic
-    sample of initial measures (all point masses and the uniform one)."""
+    sample of initial measures (all point masses and the uniform one).
+
+    Every reported quantity depends on supp nu alone, so for a member it
+    is computed exactly, in either mode, from the uniform measure on that
+    support, which is the uniform measure on G.
+    """
     g = nu.group
-    full = len(nu.support()) == g.order
-    if not full:
+    if len(nu.support()) != g.order:
         return GenericityReport(nu, False)
-    so = support_orbit(nu)
-    generates = so.subgroup.order == g.order
-    acyclic = so.acyclic
     uniform = ProbMeasure.uniform(g)
-    # nu is fully supported, so acyclic: every omega_limit is mu * limit
-    limit = limit_of_powers(nu)
-    if nu.mode == EXACT:
-        fps = fixed_points(nu)
-        unique_uniform = len(fps.basis) == 1 and fps.basis[0].weights == uniform.weights
-        samples = [ProbMeasure.point_mass(g, i) for i in range(g.order)]
-        samples.append(uniform)
-        limits_ok = all(convolve(mu, limit).weights == uniform.weights for mu in samples)
-    else:
-        unique_uniform = float(l1_distance(limit, uniform.to_float())) <= 1e-10
-        samples = [ProbMeasure.point_mass(g, i).to_float() for i in range(g.order)]
-        samples.append(uniform.to_float())
-        limits_ok = all(
-            float(l1_distance(convolve(mu, limit), uniform.to_float())) <= 1e-10 for mu in samples
-        )
+    so = support_orbit(uniform)
+    fps = fixed_points(uniform)
+    # uniform is fully supported, so acyclic: every omega_limit is mu * limit
+    limit = limit_of_powers(uniform)
+    samples = [ProbMeasure.point_mass(g, i) for i in range(g.order)]
+    samples.append(uniform)
     return GenericityReport(
         nu,
         True,
-        generates_group=generates,
-        acyclic=acyclic,
-        unique_fixed_point_uniform=unique_uniform,
-        omega_limits_uniform=limits_ok,
+        generates_group=so.subgroup.order == g.order,
+        acyclic=so.acyclic,
+        unique_fixed_point_uniform=len(fps.basis) == 1 and fps.basis[0].weights == uniform.weights,
+        omega_limits_uniform=all(convolve(mu, limit).weights == uniform.weights for mu in samples),
     )

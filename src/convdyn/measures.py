@@ -18,19 +18,17 @@ from typing import Iterable
 
 from . import scalars
 from .errors import (
-    BudgetError,
     DomainError,
     GroupMismatchError,
     InvalidMeasureError,
     ModeMismatchError,
     NotAcyclicError,
+    VerificationError,
 )
 from .groups import FiniteGroup, GroupHom, Subgroup, generated_subgroup
 from .scalars import EXACT, FLOAT, Scalar
 
 FLOAT_SUPPORT_TOL = 1e-14
-
-ORBIT_HARD_CAP = 10**6
 
 
 def _require_same_group(a, b) -> None:
@@ -102,15 +100,13 @@ class ProbMeasure:
     def to_float(self) -> "ProbMeasure":
         return self.in_mode(FLOAT)
 
-    def support(self, threshold: float | None = None) -> frozenset[int]:
+    def support(self) -> frozenset[int]:
         """Indices with strictly positive mass.
 
-        Float mode uses a zero threshold (default 1e-14) to separate true
-        zeros from rounding residue; exact mode needs none.
+        Float mode counts only mass above FLOAT_SUPPORT_TOL, to separate
+        true zeros from rounding residue; exact mode needs no threshold.
         """
-        if self.mode == EXACT:
-            return frozenset(i for i, w in enumerate(self.weights) if w > 0)
-        thr = FLOAT_SUPPORT_TOL if threshold is None else threshold
+        thr = 0 if self.mode == EXACT else FLOAT_SUPPORT_TOL
         return frozenset(i for i, w in enumerate(self.weights) if w > thr)
 
     def __getitem__(self, i: int) -> Scalar:
@@ -253,29 +249,33 @@ class SupportOrbit:
         return self.cycle_sets[(m - self.pre_period) % self.period]
 
 
-def support_orbit(m: ProbMeasure, max_steps: int | None = None) -> SupportOrbit:
-    """Iterate S_{m+1} = S_m * supp until the first repeated set.
+def support_orbit(m: ProbMeasure) -> SupportOrbit:
+    """Iterate S^(m+1) = S^m * S from S = supp(m) until the first repeated set.
 
-    Termination is guaranteed because the sets are subsets of the finite
-    subgroup H; ``max_steps`` (default min(2^|H|, 10^6)) only guards
-    against misconfiguration and raises :class:`BudgetError` when hit.
+    The trajectory has at most |H| distinct sets, H = <S>.  Sizes never
+    fall, since S^k s lies in S^(k+1), and they rise strictly up to the
+    first k with |S^(k+1)| = |S^k|.  Then S^(k+1) = S^k s for every s in
+    S, so S^(k+2) = S * S^(k+1) = S^(k+1) s, and by induction
+    S^(k+j) = S^k s^j: from k on the size stays put and the sets cycle.
+    By Kawada and Ito (1940) the cycle runs through the cosets of a normal
+    subgroup N of H, so the stable size is |N| and the period [H:N].  The
+    k - 1 sets before S^k have distinct sizes below |N|, so the count is
+    at most (|N| - 1) + |H|/|N|, which is at most |H| for 1 <= |N| <= |H|.
+    A longer trajectory contradicts this and raises
+    :class:`VerificationError`.
     """
     supp = m.support()
     if not supp:
         raise InvalidMeasureError("measure has empty support")
     g = m.group
     subgroup = generated_subgroup(g, supp)
-    if max_steps is None:
-        k = subgroup.order
-        max_steps = min(2**k if k < 60 else ORBIT_HARD_CAP, ORBIT_HARD_CAP)
     seen: dict[frozenset[int], int] = {}
     sets: list[frozenset[int]] = []
     current = supp
     while current not in seen:
-        if len(sets) >= max_steps:
-            raise BudgetError(
-                f"support orbit exceeded {max_steps} steps without repeating; "
-                "raise max_steps if the subgroup is genuinely that large"
+        if len(sets) == subgroup.order:
+            raise VerificationError(
+                f"support orbit passed {subgroup.order} sets, the order of the generated subgroup"
             )
         seen[current] = len(sets)
         sets.append(current)

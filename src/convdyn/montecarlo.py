@@ -29,7 +29,6 @@ g(draw 0) * g(draw 1) * ... * g(draw steps-1).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -45,17 +44,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-DEFAULT_BUDGET = 10**8
-
-
-def _budget() -> int:
-    raw = os.environ.get("MC_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"MC_BUDGET must be an integer, got {raw!r}") from None
+MC_BUDGET = 10**8  # cap on trials * steps draws per sampling run
 
 
 def mix64(state: np.ndarray) -> np.ndarray:
@@ -69,15 +58,20 @@ def mix64(state: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def draw_matrix(seed: int, trials: int, steps: int) -> np.ndarray:
-    """The (trials, steps) matrix of raw 64-bit draws defined above."""
+def _draws(seed: int, first: int, trials: int, steps: int) -> np.ndarray:
+    """Raw draws of trials first .. first+trials-1, one row per trial."""
     import numpy as np
 
     with np.errstate(over="ignore"):
-        t = np.arange(1, trials + 1, dtype=np.uint64)
+        t = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
         streams = mix64(np.uint64(seed) + t * np.uint64(GAMMA))
         j = np.arange(1, steps + 1, dtype=np.uint64)
         return mix64(streams[:, None] + j[None, :] * np.uint64(GAMMA))
+
+
+def draw_matrix(seed: int, trials: int, steps: int) -> np.ndarray:
+    """The (trials, steps) matrix of raw 64-bit draws defined above."""
+    return _draws(seed, 0, trials, steps)
 
 
 @dataclass(frozen=True)
@@ -96,10 +90,10 @@ class WalkConfig:
             raise DomainError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.steps * self.trials > _budget():
+        if self.steps * self.trials > MC_BUDGET:
             raise BudgetError(
                 f"{self.trials} trials x {self.steps} steps exceeds the draw "
-                f"budget {_budget()} (MC_BUDGET)"
+                f"budget {MC_BUDGET} (MC_BUDGET)"
             )
 
 
@@ -140,15 +134,9 @@ def _walk_endpoints(cfg: WalkConfig, draws: np.ndarray) -> np.ndarray:
 def sample_walk(cfg: WalkConfig, trial: int = 0) -> int:
     """One realization: the ordered product of ``steps`` i.i.d. draws,
     taken from the stream for (seed, trial)."""
-    import numpy as np
-
     if not 0 <= trial < cfg.trials:
         raise DomainError(f"trial must be in 0..{cfg.trials - 1}")
-    with np.errstate(over="ignore"):
-        stream = mix64(np.uint64(cfg.seed) + np.uint64((trial + 1) * GAMMA & _MASK))
-        j = np.arange(1, cfg.steps + 1, dtype=np.uint64)
-        draws = mix64(stream + j * np.uint64(GAMMA))[None, :]
-    return int(_walk_endpoints(cfg, draws)[0])
+    return int(_walk_endpoints(cfg, _draws(cfg.seed, trial, 1, cfg.steps))[0])
 
 
 def empirical_distribution(cfg: WalkConfig) -> ProbMeasure:

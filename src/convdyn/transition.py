@@ -13,6 +13,7 @@ H, 0 elsewhere, where H is the subgroup generated by the support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -67,46 +68,47 @@ def _identity_entries(n: int, mode: str) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _matrix_bits(entries) -> int:
+def _check_bits(entries, mode: str) -> None:
+    """Raise :class:`BudgetError` when an exact matrix holds more than
+    DEFAULT_BIT_LIMIT bits of numerators and denominators."""
+    if mode != EXACT:
+        return
     total = 0
     for row in entries:
         for x in row:
-            f = Fraction(x)
-            total += f.numerator.bit_length() + f.denominator.bit_length()
-    return total
+            total += x.numerator.bit_length() + x.denominator.bit_length()
+    if total > DEFAULT_BIT_LIMIT:
+        raise BudgetError(f"exact matrix power exceeded the {DEFAULT_BIT_LIMIT}-bit budget")
 
 
 def matrix_multiply(a, b):
     """Plain O(n^3) product of two square scalar matrices (tuples of tuples)."""
-    n = len(a)
     bt = tuple(zip(*b))  # columns of b
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
 
 
-def matrix_power(a: TransitionMatrix, m: int, bit_limit: int | None = None):
+def matrix_power(a: TransitionMatrix, m: int):
     """A^m by exponentiation by squaring; A^0 is the identity.
 
-    Exact powers can grow; the bit budget (default ~1 MB per matrix)
-    aborts pathological blowup with a clear error instead of stalling.
+    Exact powers can grow; the DEFAULT_BIT_LIMIT budget (~1 MB per
+    matrix) aborts pathological blowup with a clear error instead of
+    stalling.
     """
     if m < 0:
         raise DomainError(f"exponent must be >= 0, got {m}")
-    limit = DEFAULT_BIT_LIMIT if bit_limit is None else bit_limit
     result = _identity_entries(a.order, a.mode)
     base = a.entries
     e = m
     while e:
         if e & 1:
             result = matrix_multiply(result, base)
-            if a.mode == EXACT and _matrix_bits(result) > limit:
-                raise BudgetError(f"exact matrix power exceeded the {limit}-bit budget")
+            _check_bits(result, a.mode)
         e >>= 1
         if e:
             base = matrix_multiply(base, base)
-            if a.mode == EXACT and _matrix_bits(base) > limit:
-                raise BudgetError(f"exact matrix power exceeded the {limit}-bit budget")
+            _check_bits(base, a.mode)
     return result
 
 
@@ -117,7 +119,7 @@ def measure_times_matrix(m: ProbMeasure, entries) -> ProbMeasure:
     return ProbMeasure(m.group, tuple(acc))
 
 
-def convolution_power(m: ProbMeasure, n: int, bit_limit: int | None = None) -> ProbMeasure:
+def convolution_power(m: ProbMeasure, n: int) -> ProbMeasure:
     """The n-fold convolution power; n = 0 gives the point mass at the identity."""
     if n < 0:
         raise DomainError(f"power must be >= 0, got {n}")
@@ -126,7 +128,7 @@ def convolution_power(m: ProbMeasure, n: int, bit_limit: int | None = None) -> P
     if n == 1:
         return m
     a = transition_matrix(m)
-    return measure_times_matrix(m, matrix_power(a, n - 1, bit_limit))
+    return measure_times_matrix(m, matrix_power(a, n - 1))
 
 
 @dataclass(frozen=True)
@@ -151,17 +153,21 @@ def power_convergence(
 ) -> PowerIterationResult:
     """Iterate A, A^2, A^3, ... in floats until successive powers agree.
 
-    Convergence means max-entry distance below ``tol``.  When the driving
-    measure is not acyclic the powers cannot converge; the support-power
-    period d is then used to detect stable oscillation (A^m close to
-    A^{m+d} over a full cycle) and report it instead of spinning until
-    ``max_iter`` (default 2^20).  ``tol`` must be positive and ``max_iter``
+    The support-power period d of the driving measure decides the one
+    check made per product.  With d = 1, convergence: max-entry distance
+    between successive powers below ``tol``.  With d > 1 the powers cannot
+    converge (successive powers live on different cosets), so the check
+    is stable oscillation instead: A^m close to A^{m+d} over a full cycle,
+    reported with its period rather than spinning until ``max_iter``
+    (default 2^20).  ``tol`` must be positive and finite and ``max_iter``
     at least 1; both are checked before any multiplication.
     """
     import numpy as np
 
     if not tol > 0:  # also rejects NaN, which no distance is below
         raise DomainError("tol must be positive")
+    if tol == math.inf:
+        raise DomainError("tol must be finite")
     limit = DEFAULT_MAX_ITER if max_iter is None else max_iter
     if limit < 1:
         raise DomainError(f"max_iter must be >= 1, got {limit}")
@@ -169,17 +175,18 @@ def power_convergence(
     d = orbit.period
     af = a.as_float_array()
     current = af.copy()
-    history: list[np.ndarray] = [current]  # last d+1 powers
+    history: list[np.ndarray] = [current]  # last d+1 powers, kept when d > 1
     oscillating_run = 0
     for k in range(1, limit + 1):
         nxt = current @ af
-        if np.max(np.abs(nxt - current)) < tol:
-            return PowerIterationResult(
-                converged=True,
-                matrix=tuple(tuple(float(x) for x in row) for row in nxt),
-                iterations=k,
-            )
-        if d > 1:
+        if d == 1:
+            if np.max(np.abs(nxt - current)) < tol:
+                return PowerIterationResult(
+                    converged=True,
+                    matrix=tuple(tuple(float(x) for x in row) for row in nxt),
+                    iterations=k,
+                )
+        else:
             if len(history) > d:
                 if np.max(np.abs(nxt - history[-d])) < tol:
                     oscillating_run += 1

@@ -87,7 +87,11 @@ def test_power_iterative_rejects_exact_mode(capsys):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--tol", "nan", "tol must be positive"), ("--max-iter", "-3", "max_iter must be >= 1, got -3")],
+    [
+        ("--tol", "nan", "tol must be positive"),
+        ("--tol", "inf", "tol must be finite"),
+        ("--max-iter", "-3", "max_iter must be >= 1, got -3"),
+    ],
 )
 def test_power_iterative_rejects_bad_arguments(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "power", "--group", Z3, "--measure", NU, "--iterative", flag, value)

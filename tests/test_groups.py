@@ -198,10 +198,10 @@ def test_order_caps(monkeypatch):
         cd.symmetric_group(9)
     with pytest.raises(DomainError):
         cd.cyclic_group(0)
-    monkeypatch.setenv("MAX_GROUP_ORDER", "5")
+    monkeypatch.setattr("convdyn.groups.MAX_GROUP_ORDER", 5)
     with pytest.raises(DomainError):
         cd.cyclic_group(10)
-    monkeypatch.delenv("MAX_GROUP_ORDER")
+    monkeypatch.undo()
     assert cd.cyclic_group(10).order == 10
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -81,10 +82,11 @@ def test_support_examples(z3, nu_z3, g6):
     assert nu.support() == {g6.index_of("e"), g6.index_of("b")}
 
 
-def test_float_support_threshold(z3):
+def test_float_support_threshold(monkeypatch, z3):
     m = cd.ProbMeasure(z3, (1.0 - 1e-15, 1e-15, 0.0))
     assert m.support() == {0}
-    assert m.support(threshold=1e-16) == {0, 1}
+    monkeypatch.setattr("convdyn.measures.FLOAT_SUPPORT_TOL", 1e-16)
+    assert m.support() == {0, 1}
 
 
 # --- integration ------------------------------------------------------------
@@ -366,10 +368,23 @@ def test_large_support_forces_acyclicity(sweep_pool):
             assert cd.is_acyclic(nu)
 
 
-def test_orbit_budget_error(z4):
-    nu = cd.ProbMeasure(z4, (F(0), F(1, 2), F(0), F(1, 2)))
-    with pytest.raises(cd.BudgetError):
-        cd.support_orbit(nu, max_steps=1)
+def _small_groups():
+    yield from (cd.cyclic_group(n) for n in range(1, 13))
+    yield from (cd.dihedral_group(n) for n in range(2, 7))
+    yield cd.symmetric_group(3)
+    yield cd.symmetric_group(4)
+
+
+def test_orbit_has_at_most_subgroup_order_sets():
+    # the bound support_orbit enforces, swept over every support of size <= 3
+    at_bound = 0
+    for g in _small_groups():
+        for size in (1, 2, 3):
+            for support in itertools.combinations(range(g.order), size):
+                so = cd.support_orbit(cd.ProbMeasure.uniform(g, support))
+                assert len(so.sets) <= so.subgroup.order
+                at_bound += len(so.sets) == so.subgroup.order
+    assert at_bound > 0  # the bound is attained, e.g. by Z_n with S = {1}
 
 
 def test_lazy_step_on_proper_cyclic_subgroup(z6):

@@ -125,7 +125,7 @@ def test_walk_config_validation(z3, nu_z3):
 
 
 def test_budget_cap(monkeypatch, z3, nu_z3):
-    monkeypatch.setenv("MC_BUDGET", "100")
+    monkeypatch.setattr("convdyn.montecarlo.MC_BUDGET", 100)
     with pytest.raises(BudgetError):
         cd.WalkConfig(measure=nu_z3, steps=10, trials=11, seed=0)
     cd.WalkConfig(measure=nu_z3, steps=10, trials=10, seed=0)

@@ -118,10 +118,11 @@ def test_convolution_power_matches_repeated_convolve(nu_z3):
         chain = cd.convolve(chain, nu_z3)
 
 
-def test_matrix_power_bit_budget(nu_z3):
+def test_matrix_power_bit_budget(monkeypatch, nu_z3):
     a = cd.transition_matrix(nu_z3)
+    monkeypatch.setattr("convdyn.transition.DEFAULT_BIT_LIMIT", 100)
     with pytest.raises(BudgetError):
-        cd.matrix_power(a, 64, bit_limit=100)
+        cd.matrix_power(a, 64)
 
 
 def test_power_convergence_on_z3(nu_z3):
@@ -145,8 +146,19 @@ def test_power_convergence_respects_max_iter(nu_z3):
         cd.power_convergence(cd.transition_matrix(nu_z3), tol=1e-15, max_iter=2)
 
 
+@pytest.mark.parametrize("tol", [1e-12, 0.6, 1.0, 2.0, 1e300])
+def test_power_convergence_reports_period_at_every_finite_tol(z4, tol):
+    # successive powers sit on alternating cosets of {0, 2} and differ by 1/2:
+    # a tol above that must not pass for convergence
+    nu = cd.ProbMeasure(z4, (0.0, 0.5, 0.0, 0.5))
+    result = cd.power_convergence(cd.transition_matrix(nu), tol=tol)
+    assert (result.converged, result.period, result.matrix) == (False, 2, None)
+
+
 @pytest.mark.parametrize(
-    "kwargs", [{"tol": float("nan")}, {"max_iter": 0}, {"max_iter": -3}], ids=["nan-tol", "zero", "negative"]
+    "kwargs",
+    [{"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 0}, {"max_iter": -3}],
+    ids=["nan-tol", "inf-tol", "zero", "negative"],
 )
 def test_power_convergence_rejects_bad_arguments_before_iterating(nu_z3, kwargs):
     with pytest.raises(DomainError):
