@@ -25,6 +25,16 @@ selection, so exact-mode weights are sampled without bias beyond the
 
 A walk multiplies its step draws left to right:
 g(draw 0) * g(draw 1) * ... * g(draw steps-1).
+
+Evaluation order
+----------------
+Walks are evaluated column by column over chunks of CHUNK_TRIALS trials:
+for each step j the chunk's draws are made as one column, turned into
+elements, and multiplied onto the running products; endpoint counts are
+added up chunk by chunk.  The memory a run takes is therefore set by
+CHUNK_TRIALS and the group, not by trials or steps.  Since every draw is
+a function of (seed, trial, step) alone, the counts are those of any
+other order, such as the row-per-trial ``draw_matrix``.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 MC_BUDGET = 10**8  # cap on trials * steps draws per sampling run
+CHUNK_TRIALS = 1 << 16  # trials walked together; bounds the sampler's memory
 
 
 def mix64(state: np.ndarray) -> np.ndarray:
@@ -58,20 +69,22 @@ def mix64(state: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def _draws(seed: int, first: int, trials: int, steps: int) -> np.ndarray:
-    """Raw draws of trials first .. first+trials-1, one row per trial."""
+def _streams(seed: int, first: int, trials: int) -> np.ndarray:
+    """Stream seeds of trials first .. first+trials-1."""
     import numpy as np
 
     with np.errstate(over="ignore"):
         t = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
-        streams = mix64(np.uint64(seed) + t * np.uint64(GAMMA))
-        j = np.arange(1, steps + 1, dtype=np.uint64)
-        return mix64(streams[:, None] + j[None, :] * np.uint64(GAMMA))
+        return mix64(np.uint64(seed) + t * np.uint64(GAMMA))
 
 
 def draw_matrix(seed: int, trials: int, steps: int) -> np.ndarray:
     """The (trials, steps) matrix of raw 64-bit draws defined above."""
-    return _draws(seed, 0, trials, steps)
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        j = np.arange(1, steps + 1, dtype=np.uint64)
+        return mix64(_streams(seed, 0, trials)[:, None] + j[None, :] * np.uint64(GAMMA))
 
 
 @dataclass(frozen=True)
@@ -119,16 +132,28 @@ def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
-def _walk_endpoints(cfg: WalkConfig, draws: np.ndarray) -> np.ndarray:
+def _endpoint_chunks(cfg: WalkConfig, first: int, trials: int):
+    """Endpoints of trials first .. first+trials-1, CHUNK_TRIALS at a time."""
     import numpy as np
 
+    g = cfg.measure.group
     thresholds = cdf_thresholds(cfg.measure)
-    indices = np.searchsorted(thresholds, draws, side="right")
-    cayley = np.array(cfg.measure.group.cayley, dtype=np.int64)
-    state = np.full(draws.shape[0], cfg.measure.group.identity, dtype=np.int64)
-    for j in range(draws.shape[1]):
-        state = cayley[state, indices[:, j]]
-    return state
+    # Each interval between consecutive distinct boundaries selects one
+    # element: search the distinct boundaries only, and keep only the table
+    # columns of the selected elements (table[a * width + s] = a * selected[s]).
+    bounds = np.unique(thresholds)
+    selected = [0, *np.searchsorted(thresholds, bounds, side="right").tolist()]
+    width = len(selected)
+    table = np.array([[row[b] for b in selected] for row in g.cayley], dtype=np.intp).ravel()
+    for lo in range(first, first + trials, CHUNK_TRIALS):
+        streams = _streams(cfg.seed, lo, min(CHUNK_TRIALS, first + trials - lo))
+        state = np.full(len(streams), g.identity, dtype=np.intp)
+        for j in range(1, cfg.steps + 1):
+            column = mix64(streams + np.uint64(j * GAMMA & _MASK))  # array sums wrap mod 2^64
+            state *= width
+            state += np.searchsorted(bounds, column, side="right")
+            state = table[state]
+        yield state
 
 
 def sample_walk(cfg: WalkConfig, trial: int = 0) -> int:
@@ -136,16 +161,17 @@ def sample_walk(cfg: WalkConfig, trial: int = 0) -> int:
     taken from the stream for (seed, trial)."""
     if not 0 <= trial < cfg.trials:
         raise DomainError(f"trial must be in 0..{cfg.trials - 1}")
-    return int(_walk_endpoints(cfg, _draws(cfg.seed, trial, 1, cfg.steps))[0])
+    return int(next(_endpoint_chunks(cfg, trial, 1))[0])
 
 
 def empirical_distribution(cfg: WalkConfig) -> ProbMeasure:
     """Frequency vector of walk endpoints over all trials (float mode)."""
     import numpy as np
 
-    draws = draw_matrix(cfg.seed, cfg.trials, cfg.steps)
-    endpoints = _walk_endpoints(cfg, draws)
-    counts = np.bincount(endpoints, minlength=cfg.measure.group.order)
+    order = cfg.measure.group.order
+    counts = np.zeros(order, dtype=np.int64)
+    for endpoints in _endpoint_chunks(cfg, 0, cfg.trials):
+        counts += np.bincount(endpoints, minlength=order)
     return ProbMeasure(
         cfg.measure.group, tuple(float(c) / cfg.trials for c in counts)
     )

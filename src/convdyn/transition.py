@@ -135,9 +135,10 @@ def convolution_power(m: ProbMeasure, n: int) -> ProbMeasure:
 class PowerIterationResult:
     """Outcome of float power iteration on a transition matrix.
 
-    Either the powers stabilised (``converged`` with the limit matrix and
-    the number of multiplications used) or they settled into oscillation
-    with the reported period (``converged`` False, ``period`` set).
+    Either the powers stabilised (``converged`` with the limit matrix) or
+    they settled into oscillation with the reported period (``converged``
+    False, ``period`` set).  ``iterations`` is the k at which iterating A,
+    A^2, A^3, ... one product per k would stop; see ``power_convergence``.
     """
 
     converged: bool
@@ -151,16 +152,31 @@ def power_convergence(
     tol: float = DEFAULT_POWER_TOL,
     max_iter: int | None = None,
 ) -> PowerIterationResult:
-    """Iterate A, A^2, A^3, ... in floats until successive powers agree.
+    """Find in floats the first k at which the powers of A settle.
 
-    The support-power period d of the driving measure decides the one
-    check made per product.  With d = 1, convergence: max-entry distance
-    between successive powers below ``tol``.  With d > 1 the powers cannot
-    converge (successive powers live on different cosets), so the check
-    is stable oscillation instead: A^m close to A^{m+d} over a full cycle,
-    reported with its period rather than spinning until ``max_iter``
-    (default 2^20).  ``tol`` must be positive and finite and ``max_iter``
-    at least 1; both are checked before any multiplication.
+    Let d be the support-power period of the driving measure.  With d = 1
+    the test at k is max|A^{k+1} - A^k| < ``tol``; the first passing k is
+    returned as ``iterations`` with the matrix A^{k+1}.  With d > 1 the
+    powers cannot converge (successive powers live on different cosets),
+    so the test at k is stable oscillation, max|A^{k+1} - A^{k+1-d}| <
+    ``tol``, applied from k = d + 1; the result reports the period, and
+    ``iterations`` is the first passing k plus d - 1, the k at which the
+    test has passed over a full cycle.  These are the answers of iterating
+    A, A^2, A^3, ... one product per k, and ``max_iter`` (default 2^20)
+    bounds that k: ``ConvergenceError`` is raised when the answer exceeds it.
+
+    The test is monotone in k, so the first passing k can be searched for.
+    A is row-stochastic, so each row of A M is a convex combination of the
+    rows of M and max|A M| <= max|M|; with M = A^{k+1} - A^{k+1-d} this
+    gives max|A^{k+2} - A^{k+2-d}| <= max|A^{k+1} - A^{k+1-d}|.  Writing
+    e = k + 1 - d for the lower exponent, the search tests e = 1 or 2 and
+    then doubles e by squaring until the test passes; below the passing e
+    it builds the largest failing exponent bit by bit from the top,
+    recomputing each square A^(2^j) from A.  For an answer k this costs at
+    most (log2 k)^2 / 2 + 4 log2 k + 2 log2 d + 6 products and holds a
+    fixed number of n x n matrices, whatever k is.  ``tol`` must be
+    positive and finite and ``max_iter`` at least 1; both are checked
+    before any multiplication.
     """
     import numpy as np
 
@@ -173,35 +189,41 @@ def power_convergence(
         raise DomainError(f"max_iter must be >= 1, got {limit}")
     orbit = support_orbit(a.source)  # held until return: freeing it early raised peak RSS
     d = orbit.period
+    first = 1 if d == 1 else 2  # smallest e the test applies to
+    last = limit - 2 * d + 2  # largest e whose answer e + 2d - 2 is within max_iter
+    stalled = f"no convergence or stable period within {limit} iterations (tol={tol})"
+    if last < first:
+        raise ConvergenceError(stalled)
     af = a.as_float_array()
-    current = af.copy()
-    history: list[np.ndarray] = [current]  # last d+1 powers, kept when d > 1
-    oscillating_run = 0
-    for k in range(1, limit + 1):
-        nxt = current @ af
-        if d == 1:
-            if np.max(np.abs(nxt - current)) < tol:
-                return PowerIterationResult(
-                    converged=True,
-                    matrix=tuple(tuple(float(x) for x in row) for row in nxt),
-                    iterations=k,
-                )
-        else:
-            if len(history) > d:
-                if np.max(np.abs(nxt - history[-d])) < tol:
-                    oscillating_run += 1
-                    if oscillating_run >= d:
-                        return PowerIterationResult(
-                            converged=False, matrix=None, iterations=k, period=d
-                        )
-                else:
-                    oscillating_run = 0
-            history.append(nxt)
-            if len(history) > d + 1:
-                history.pop(0)
-        current = nxt
-    raise ConvergenceError(
-        f"no convergence or stable period after {limit} multiplications (tol={tol})"
+    cycle = np.linalg.matrix_power(af, d)
+
+    def passes(power: np.ndarray) -> bool:  # power = A^e
+        return bool(np.max(np.abs(power @ cycle - power)) < tol)
+
+    below, below_power = 0, None  # largest e known to fail, and A^e
+    e, power = first, af if first == 1 else af @ af
+    while not passes(power):
+        if e >= last:
+            raise ConvergenceError(stalled)
+        below, below_power = e, power
+        e, power = 2 * e, power @ power
+    for j in reversed(range(below.bit_length() - 1)):  # gap (below, 2 below]
+        square = af
+        for _ in range(j):
+            square = square @ square
+        trial = below_power @ square
+        if not passes(trial):
+            below, below_power = below + (1 << j), trial
+    if below:
+        e, power = below + 1, below_power @ af
+    if e > last:
+        raise ConvergenceError(stalled)
+    if d > 1:
+        return PowerIterationResult(converged=False, matrix=None, iterations=e + 2 * d - 2, period=d)
+    return PowerIterationResult(
+        converged=True,
+        matrix=tuple(tuple(float(x) for x in row) for row in power @ af),
+        iterations=e,
     )
 
 

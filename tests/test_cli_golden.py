@@ -7,7 +7,11 @@ The cases cover all 14 verbs in exact and float mode with JSON and pretty
 output, a non-acyclic driving measure, and parse, usage and domain
 errors.  The temporary directory's path is written as ``<cwd>`` in the
 stored stderr lines.  Float power-iteration matrices are compared rounded
-to 9 decimals, because BLAS kernels differ in the last bits between CPUs.
+to 9 decimals, because BLAS kernels and the order of the products differ
+in the last bits.  Their pretty output pads columns to the width of the
+unrounded values, so for ``--iterative`` cases every run of spaces in
+stdout is compared as one space, on both sides; values, rows and columns
+stay pinned.
 
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -220,7 +224,16 @@ def test_golden_file_lists_exactly_the_cases(golden):
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_cli_matches_golden_transcript(name, argv, golden, tmp_path):
-    assert run_case(argv, tmp_path) == golden[name]
+    assert comparable(run_case(argv, tmp_path)) == comparable(golden[name])
+
+
+def comparable(case: dict) -> dict:
+    """The case as compared: for ``--iterative`` runs, with each run of
+    spaces in stdout made one space, since the column padding follows the
+    last bits of the floats."""
+    if "--iterative" not in case["argv"]:
+        return case
+    return {**case, "stdout": re.sub(" +", " ", case["stdout"])}
 
 
 def record(tmp: Path) -> None:

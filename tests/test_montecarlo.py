@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 import convdyn as cd
 from convdyn.errors import BudgetError, DomainError
-from convdyn.montecarlo import GAMMA, cdf_thresholds, draw_matrix, mix64
-from conftest import nu_g6
+from convdyn.montecarlo import CHUNK_TRIALS, GAMMA, cdf_thresholds, draw_matrix, mix64
+from conftest import nu_g6, random_exact_measure
 
 F = Fraction
 
@@ -74,14 +76,66 @@ def test_same_seed_same_distribution(z3, nu_z3):
     assert cd.empirical_distribution(different).weights != first.weights
 
 
+def batch_endpoints(cfg: cd.WalkConfig) -> np.ndarray:
+    """Reference walk: every draw at once from ``draw_matrix``, then one
+    table lookup per step for all trials."""
+    draws = draw_matrix(cfg.seed, cfg.trials, cfg.steps)
+    indices = np.searchsorted(cdf_thresholds(cfg.measure), draws, side="right")
+    cayley = np.array(cfg.measure.group.cayley, dtype=np.int64)
+    state = np.full(cfg.trials, cfg.measure.group.identity, dtype=np.int64)
+    for j in range(cfg.steps):
+        state = cayley[state, indices[:, j]]
+    return state
+
+
 def test_single_trials_match_batch(z3, nu_z3):
     cfg = cd.WalkConfig(measure=nu_z3, steps=6, trials=25, seed=31337)
-    draws = draw_matrix(cfg.seed, cfg.trials, cfg.steps)
-    from convdyn.montecarlo import _walk_endpoints
-
-    batch = _walk_endpoints(cfg, draws)
+    batch = batch_endpoints(cfg)
     for t in range(cfg.trials):
         assert cd.sample_walk(cfg, t) == batch[t]
+
+
+def reference_frequencies(cfg: cd.WalkConfig) -> tuple[float, ...]:
+    counts = np.bincount(batch_endpoints(cfg), minlength=cfg.measure.group.order)
+    return tuple(float(c) / cfg.trials for c in counts)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_streamed_frequencies_equal_batch_walk(monkeypatch, small_pool, chunk):
+    if chunk is not None:  # many chunks, most of them full, one partial
+        monkeypatch.setattr("convdyn.montecarlo.CHUNK_TRIALS", chunk)
+    rng = random.Random(67)
+    measures = [random_exact_measure(rng, g) for g in small_pool for _ in range(3)]
+    measures += [m.to_float() for m in measures[::4]]
+    z4 = cd.cyclic_group(4)
+    measures += [
+        cd.ProbMeasure(z4, (F(0), F(1, 2), F(0), F(1, 2))),  # zero weights between and at the end
+        cd.ProbMeasure(z4, (F(0), F(0), F(0), F(1))),  # point mass on the last element
+        cd.ProbMeasure(cd.cyclic_group(3), (0.1, 0.2, 0.7)),  # float weights whose sum is not 1
+        cd.ProbMeasure.uniform(cd.symmetric_group(4), range(24)),
+    ]
+    for k, nu in enumerate(measures):
+        cfg = cd.WalkConfig(measure=nu, steps=1 + k % 9, trials=1 + 37 * k, seed=rng.getrandbits(64))
+        assert cd.empirical_distribution(cfg).weights == reference_frequencies(cfg), k
+
+
+def test_frequencies_across_default_chunks_equal_batch_walk(s3):
+    nu = cd.ProbMeasure(s3, (F(1, 2), F(1, 6), F(0), F(0), F(1, 3), F(0)))
+    cfg = cd.WalkConfig(measure=nu, steps=3, trials=2 * CHUNK_TRIALS + 5, seed=2024)
+    assert cd.empirical_distribution(cfg).weights == reference_frequencies(cfg)
+
+
+def test_sampler_memory_does_not_grow_with_draws(s3):
+    # the draw matrix of this run alone would take 200_000 * 40 * 8 B = 64 MB
+    nu = cd.ProbMeasure(s3, (F(1, 2), F(1, 4), F(0), F(1, 4), F(0), F(0)))
+    cfg = cd.WalkConfig(measure=nu, steps=40, trials=200_000, seed=11)
+    tracemalloc.start()
+    try:
+        cd.empirical_distribution(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_support_containment(z4):

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convdyn as cd
 from convdyn.errors import BudgetError, ConvergenceError, DomainError
+from convdyn.transition import DEFAULT_MAX_ITER
 from conftest import brute_convolve, nu_g6, random_exact_measure
 
 F = Fraction
@@ -144,6 +146,106 @@ def test_power_convergence_reports_oscillation(z2):
 def test_power_convergence_respects_max_iter(nu_z3):
     with pytest.raises(ConvergenceError):
         cd.power_convergence(cd.transition_matrix(nu_z3), tol=1e-15, max_iter=2)
+
+
+def linear_power_convergence(a: cd.TransitionMatrix, tol: float = 1e-12) -> tuple:
+    """Reference: iterate A, A^2, A^3, ... one product per k and stop at
+    the first k whose test passes, as ``power_convergence`` documents.
+    Returns (converged, iterations, period, matrix)."""
+    d = cd.support_orbit(a.source).period
+    af = a.as_float_array()
+    current = af.copy()
+    history = [current]  # last d+1 powers, kept when d > 1
+    oscillating_run = 0
+    for k in range(1, DEFAULT_MAX_ITER + 1):
+        nxt = current @ af
+        if d == 1:
+            if np.max(np.abs(nxt - current)) < tol:
+                return True, k, None, nxt
+        else:
+            if len(history) > d:
+                if np.max(np.abs(nxt - history[-d])) < tol:
+                    oscillating_run += 1
+                    if oscillating_run >= d:
+                        return False, k, d, None
+                else:
+                    oscillating_run = 0
+            history.append(nxt)
+            if len(history) > d + 1:
+                history.pop(0)
+        current = nxt
+    raise AssertionError("reference loop ran out of iterations")
+
+
+def _element_power(group: cd.FiniteGroup, x: int, m: int) -> int:
+    y = group.identity
+    for _ in range(m):
+        y = group.cayley[y][x]
+    return y
+
+
+def sweep_measures(seed: int) -> list[cd.ProbMeasure]:
+    """Seeded measures on S_4, D_6, Z_12 and Z_20: random supports, supports
+    inside one coset of the subgroup generated by m-th powers (periods
+    d > 1), and lazy walks that stay in place with probability 1 - p."""
+    rng = random.Random(seed)
+    out = []
+    for group in (cd.symmetric_group(4), cd.dihedral_group(6), cd.cyclic_group(12), cd.cyclic_group(20)):
+        out += [random_exact_measure(rng, group) for _ in range(10)]
+        for m in (2, 3, 4):
+            normal = cd.generated_subgroup(group, {_element_power(group, x, m) for x in range(group.order)})
+            x = rng.choice([y for y in range(group.order) if y not in normal] or [group.identity])
+            coset = sorted({group.cayley[x][h] for h in normal.members})
+            for _ in range(3):
+                out.append(random_exact_measure(rng, group, support=rng.sample(coset, rng.randint(1, len(coset)))))
+        for p in (F(1, 10), F(1, 40)):
+            moves = rng.sample(range(1, group.order), rng.randint(1, 2))
+            weights = [F(0)] * group.order
+            weights[group.identity] = 1 - p
+            for move in moves:
+                weights[move] += p / len(moves)
+            out.append(cd.ProbMeasure(group, tuple(weights)))
+    return out
+
+
+def test_power_convergence_matches_linear_iteration():
+    measures = sweep_measures(71)
+    assert len(measures) >= 80
+    periods = set()
+    for nu in measures:
+        a = cd.transition_matrix(nu)
+        converged, iterations, period, matrix = linear_power_convergence(a)
+        result = cd.power_convergence(a)
+        assert (result.converged, result.iterations, result.period) == (converged, iterations, period), nu.weights
+        if converged:
+            assert np.max(np.abs(np.array(result.matrix) - matrix)) < 1e-9
+        else:
+            assert result.matrix is None
+        periods.add(period or 1)
+    assert max(periods) > 2  # the sweep covers d = 1, 2 and longer periods
+
+
+def test_power_convergence_max_iter_edge():
+    # the answer k is returned under max_iter = k and raises under k - 1
+    for nu in sweep_measures(73)[::5]:
+        a = cd.transition_matrix(nu)
+        k = linear_power_convergence(a)[1]
+        assert cd.power_convergence(a, max_iter=k).iterations == k
+        if k > 1:
+            with pytest.raises(ConvergenceError):
+                cd.power_convergence(a, max_iter=k - 1)
+
+
+def test_power_convergence_lazy_walk_beyond_linear_reach():
+    # 227,117 products one at a time; the search bound allows about 240
+    z50 = cd.cyclic_group(50)
+    weights = [F(0)] * 50
+    weights[0], weights[1] = F(99, 100), F(1, 100)
+    result = cd.power_convergence(cd.transition_matrix(cd.ProbMeasure(z50, tuple(weights))))
+    assert result.converged and result.iterations == 227_117
+    # the test bounds successive differences; the distance to the limit is
+    # larger by about 1 / spectral gap (~6e3 here)
+    assert np.max(np.abs(np.array(result.matrix) - 1 / 50)) < 1e-8
 
 
 @pytest.mark.parametrize("tol", [1e-12, 0.6, 1.0, 2.0, 1e300])
