@@ -16,6 +16,7 @@ powers, and certified by exact checks; no float iteration is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import scalars
 from .errors import (
@@ -52,13 +53,22 @@ def orbit(nu: ProbMeasure, mu: ProbMeasure, steps: int) -> list[ProbMeasure]:
     return out
 
 
+def _uniform_in_mode(nu: ProbMeasure, members) -> ProbMeasure:
+    """The uniform measure on ``members``, its weights built directly in
+    nu's mode: ``ProbMeasure.uniform(nu.group, members).in_mode(nu.mode)``."""
+    members = frozenset(members)
+    w = scalars.coerce(Fraction(1, len(members)), nu.mode)
+    zero = scalars.coerce(0, nu.mode)
+    return ProbMeasure(nu.group, tuple(w if i in members else zero for i in range(nu.group.order)))
+
+
 def limit_of_powers(nu: ProbMeasure) -> ProbMeasure:
     """Limit of the convolution powers of an acyclic measure: uniform on
     the subgroup generated by the support."""
     so = _acyclic_orbit(
         nu, "powers of a non-acyclic measure do not converge; use accumulation_points instead"
     )
-    return ProbMeasure.uniform(nu.group, so.subgroup.members).in_mode(nu.mode)
+    return _uniform_in_mode(nu, so.subgroup.members)
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def accumulation_points(nu: ProbMeasure) -> OmegaLimitReport:
         x = min(ks)
         if ks != frozenset(g.cayley[x][m] for m in n_set):
             raise VerificationError(f"cycle set {j} is not a left coset of that subgroup")
-    claims = tuple(ProbMeasure.uniform(g, ks).in_mode(nu.mode) for ks in so.cycle_sets)
+    claims = tuple(_uniform_in_mode(nu, ks) for ks in so.cycle_sets)
     return OmegaLimitReport(
         driving=nu, initial=nu, points=claims, periodic=True, period=d, verified=True
     )

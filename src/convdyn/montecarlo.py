@@ -35,12 +35,21 @@ added up chunk by chunk.  The memory a run takes is therefore set by
 CHUNK_TRIALS and the group, not by trials or steps.  Since every draw is
 a function of (seed, trial, step) alone, the counts are those of any
 other order, such as the row-per-trial ``draw_matrix``.
+
+Each step writes its column into a buffer made once per call and hashes
+it there, in place, with the finalizer that ``mix64`` applies to a copy
+of its input.  The element index i = #{distinct boundaries <= r} is counted by
+one comparison pass per boundary while there are few of them, and found
+by binary search otherwise.  Both compute the same integer from the same
+64-bit r, and the walk then reads the same table entries, so the counts
+do not depend on which way i is found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError, DomainError
@@ -50,23 +59,38 @@ if TYPE_CHECKING:  # numpy is imported only by the functions that use it
     import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 MC_BUDGET = 10**8  # cap on trials * steps draws per sampling run
 CHUNK_TRIALS = 1 << 16  # trials walked together; bounds the sampler's memory
+# Up to this many distinct boundaries a draw's element is found by one
+# comparison pass per boundary, above it by binary search: counting is the
+# faster of the two below about 100 boundaries (x86-64), and its uint8
+# count holds at most 255.
+_MAX_COUNTED_BOUNDS = 64
+
+
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 output finalizer applied to the uint64 array ``z`` in
+    place; ``tmp`` is scratch of the same shape.  Array arithmetic on
+    uint64 wraps modulo 2^64 without warnings."""
+    import numpy as np
+
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
 
 
 def mix64(state: np.ndarray) -> np.ndarray:
-    """SplitMix64 output finalizer over uint64 arrays."""
+    """SplitMix64 output finalizer over uint64 arrays; ``state`` is left
+    unchanged."""
     import numpy as np
 
-    with np.errstate(over="ignore"):
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    z = np.array(state, dtype=np.uint64)
+    _mix64_into(z, np.empty_like(z))
+    return z
 
 
 def _streams(seed: int, first: int, trials: int) -> np.ndarray:
@@ -122,12 +146,14 @@ def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:
 
     out = []
     acc = Fraction(0)
+    boundary = 0
     for w in measure.weights[:-1]:
-        acc += Fraction(w)
-        scaled = acc * (1 << 64)
-        boundary = -((-scaled.numerator) // scaled.denominator)
-        if boundary > _MASK:
-            break
+        if w:  # a zero weight repeats the previous boundary
+            acc += Fraction(w)
+            scaled = acc * (1 << 64)
+            boundary = -((-scaled.numerator) // scaled.denominator)
+            if boundary > _MASK:
+                break
         out.append(boundary)
     return np.array(out, dtype=np.uint64)
 
@@ -139,20 +165,35 @@ def _endpoint_chunks(cfg: WalkConfig, first: int, trials: int):
     g = cfg.measure.group
     thresholds = cdf_thresholds(cfg.measure)
     # Each interval between consecutive distinct boundaries selects one
-    # element: search the distinct boundaries only, and keep only the table
-    # columns of the selected elements (table[a * width + s] = a * selected[s]).
+    # element: compare with the distinct boundaries only, and keep only the
+    # table columns of the selected elements (table[a * width + s] = a * selected[s]).
     bounds = np.unique(thresholds)
     selected = [0, *np.searchsorted(thresholds, bounds, side="right").tolist()]
     width = len(selected)
-    table = np.array([[row[b] for b in selected] for row in g.cayley], dtype=np.intp).ravel()
+    table = np.column_stack(
+        [np.fromiter(map(itemgetter(b), g.cayley), np.intp, g.order) for b in selected]
+    ).ravel()
+    counted = list(bounds) if len(bounds) <= _MAX_COUNTED_BOUNDS else None
+    size = min(CHUNK_TRIALS, trials)
+    buffers = [np.empty(size, t) for t in (np.uint64, np.uint64, np.bool_, np.uint8)]
     for lo in range(first, first + trials, CHUNK_TRIALS):
-        streams = _streams(cfg.seed, lo, min(CHUNK_TRIALS, first + trials - lo))
-        state = np.full(len(streams), g.identity, dtype=np.intp)
+        n = min(CHUNK_TRIALS, first + trials - lo)
+        streams = _streams(cfg.seed, lo, n)
+        state = np.full(n, g.identity, dtype=np.intp)
+        draws, scratch, hits, index = (b[:n] for b in buffers)
         for j in range(1, cfg.steps + 1):
-            column = mix64(streams + np.uint64(j * GAMMA & _MASK))  # array sums wrap mod 2^64
+            np.add(streams, np.uint64(j * GAMMA & _MASK), out=draws)  # wraps mod 2^64
+            _mix64_into(draws, scratch)
             state *= width
-            state += np.searchsorted(bounds, column, side="right")
-            state = table[state]
+            if counted is None:
+                state += np.searchsorted(bounds, draws, side="right")
+            else:
+                index.fill(0)
+                for bound in counted:
+                    np.greater_equal(draws, bound, out=hits)
+                    index += hits.view(np.uint8)
+                state += index
+            np.take(table, state, out=state)
         yield state
 
 

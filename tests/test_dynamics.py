@@ -196,6 +196,29 @@ def test_accumulation_points_of_slowly_mixing_measure_on_z8():
     assert [p.weights for p in report.points] == [tuple(map(float, p)) for p in points]
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_limits_equal_uniform_measures_coerced_to_mode(mode):
+    def typed(m):
+        return [(w, type(w)) for w in m.weights]
+
+    rng = random.Random(7182)
+    groups = [cd.cyclic_group(12), cd.dihedral_group(6), cd.symmetric_group(4), cd.cyclic_group(7)]
+    non_acyclic = 0
+    for g in groups:
+        for _ in range(12):
+            support = rng.sample(range(g.order), rng.randint(1, 3))
+            nu = random_exact_measure(rng, g, support=support).in_mode(mode)
+            so = cd.support_orbit(nu)
+            if so.acyclic:
+                expected = [cd.ProbMeasure.uniform(g, so.subgroup.members).in_mode(mode)]
+                assert typed(cd.limit_of_powers(nu)) == typed(expected[0])
+            else:
+                non_acyclic += 1
+                expected = [cd.ProbMeasure.uniform(g, ks).in_mode(mode) for ks in so.cycle_sets]
+            assert [typed(p) for p in cd.accumulation_points(nu).points] == [typed(e) for e in expected]
+    assert non_acyclic >= 10
+
+
 def test_coset_certificates_agree_with_elimination_and_float_powers():
     """Reference cross-checks for the exact certificates: the fixed-point
     dimension against the rational null space of (A - I)^T, and each

@@ -9,7 +9,14 @@ import pytest
 
 import convdyn as cd
 from convdyn.errors import BudgetError, DomainError
-from convdyn.montecarlo import CHUNK_TRIALS, GAMMA, cdf_thresholds, draw_matrix, mix64
+from convdyn.montecarlo import (
+    _MAX_COUNTED_BOUNDS,
+    CHUNK_TRIALS,
+    GAMMA,
+    cdf_thresholds,
+    draw_matrix,
+    mix64,
+)
 from conftest import nu_g6, random_exact_measure
 
 F = Fraction
@@ -42,6 +49,15 @@ def test_mix64_matches_published_test_vector():
     assert int(mix64(state)[0]) == 6457827717110365317
 
 
+def test_mix64_matches_reference_and_leaves_its_input_unchanged():
+    rng = random.Random(64)
+    words = [0, MASK] + [rng.getrandbits(64) for _ in range(998)]
+    state = np.array(words, dtype=np.uint64)
+    out = mix64(state)
+    assert state.tolist() == words
+    assert out.tolist() == [reference_mix(w) for w in words]
+
+
 def test_identity_point_mass_walks_stay_home(s3):
     cfg = cd.WalkConfig(
         measure=cd.ProbMeasure.point_mass(s3, s3.identity), steps=5, trials=50, seed=1
@@ -65,6 +81,16 @@ def test_single_step_walk_reproduces_documented_bin(z3, nu_z3):
     boundaries = [int(b) for b in cdf_thresholds(nu_z3)]
     expected = sum(1 for b in boundaries if b <= raw)
     assert cd.sample_walk(cfg, 0) == expected
+
+
+@pytest.mark.parametrize("order", [2, _MAX_COUNTED_BOUNDS + 2])
+def test_draw_on_a_boundary_selects_the_next_element(order):
+    raw = reference_draw(5, 0, 0)
+    first = F(raw, 2**64)
+    rest = (1 - first) / (order - 1)
+    nu = cd.ProbMeasure(cd.cyclic_group(order), (first,) + (rest,) * (order - 1))
+    assert int(cdf_thresholds(nu)[0]) == raw
+    assert cd.sample_walk(cd.WalkConfig(measure=nu, steps=1, trials=1, seed=5)) == 1
 
 
 def test_same_seed_same_distribution(z3, nu_z3):
@@ -100,6 +126,43 @@ def reference_frequencies(cfg: cd.WalkConfig) -> tuple[float, ...]:
     return tuple(float(c) / cfg.trials for c in counts)
 
 
+def distinct_bounds(nu: cd.ProbMeasure) -> int:
+    return len(np.unique(cdf_thresholds(nu)))
+
+
+def edge_measures(rng: random.Random) -> list[cd.ProbMeasure]:
+    """Measures at the edges of element selection, checked as they are built."""
+    z3, z4 = cd.cyclic_group(3), cd.cyclic_group(4)
+    s6, d100 = cd.symmetric_group(6), cd.dihedral_group(100)
+    out = []
+    for g in (z4, cd.symmetric_group(3), s6, d100):  # two-point supports
+        out.append(random_exact_measure(rng, g, support=rng.sample(range(g.order), 2)))
+        out.append(out[-1].to_float())
+    for g in (cd.dihedral_group(4), s6, d100):  # six distinct bounds
+        nu = random_exact_measure(rng, g, support=[0, *rng.sample(range(1, g.order), 6)])
+        assert distinct_bounds(nu) == 6
+        out.append(nu)
+    tiny = F(1, 2**70)  # positive, but its boundary equals its predecessor's
+    nu = cd.ProbMeasure(z4, (F(1, 3), tiny, F(2, 3) - tiny, F(0)))
+    assert cdf_thresholds(nu)[0] == cdf_thresholds(nu)[1]
+    out.append(nu)
+    out.append(cd.ProbMeasure(z4, (F(0), F(1, 4), F(3, 4), F(0))))  # zero weights first and last
+    out.append(out[-1].to_float())
+    above = cd.ProbMeasure(z3, (0.4, 0.4, 0.2))  # float weights summing just above 1
+    below = cd.ProbMeasure(z3, (0.1, 0.2, 0.7))  # and just below
+    assert sum(map(F, above.weights)) > 1 > sum(map(F, below.weights))
+    passes_one = cd.ProbMeasure(z3, (0.5, 0.5000000000000001, 1e-17))  # before the last element
+    assert len(cdf_thresholds(passes_one)) == 1  # so its boundary is dropped
+    out += [above, below, passes_one]
+    for bounds in (_MAX_COUNTED_BOUNDS, _MAX_COUNTED_BOUNDS + 1):  # either side of counting
+        out.append(cd.ProbMeasure.uniform(cd.cyclic_group(bounds + 1)))
+        assert distinct_bounds(out[-1]) == bounds
+    out.append(cd.ProbMeasure.uniform(s6))
+    out.append(random_exact_measure(rng, d100, support=range(200)))
+    out.append(random_exact_measure(rng, d100, support=rng.sample(range(200), 40)))
+    return out
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_streamed_frequencies_equal_batch_walk(monkeypatch, small_pool, chunk):
     if chunk is not None:  # many chunks, most of them full, one partial
@@ -111,9 +174,9 @@ def test_streamed_frequencies_equal_batch_walk(monkeypatch, small_pool, chunk):
     measures += [
         cd.ProbMeasure(z4, (F(0), F(1, 2), F(0), F(1, 2))),  # zero weights between and at the end
         cd.ProbMeasure(z4, (F(0), F(0), F(0), F(1))),  # point mass on the last element
-        cd.ProbMeasure(cd.cyclic_group(3), (0.1, 0.2, 0.7)),  # float weights whose sum is not 1
         cd.ProbMeasure.uniform(cd.symmetric_group(4), range(24)),
     ]
+    measures += edge_measures(rng)
     for k, nu in enumerate(measures):
         cfg = cd.WalkConfig(measure=nu, steps=1 + k % 9, trials=1 + 37 * k, seed=rng.getrandbits(64))
         assert cd.empirical_distribution(cfg).weights == reference_frequencies(cfg), k
@@ -160,6 +223,8 @@ def test_cdf_thresholds_are_exact():
     assert [int(b) for b in cdf_thresholds(half)] == [2**63]
     sure = cd.ProbMeasure(z2, (F(1), F(0)))
     assert len(cdf_thresholds(sure)) == 0  # boundary 2^64 dropped
+    gaps = cd.ProbMeasure(cd.cyclic_group(5), (F(0), F(1, 2), F(0), F(1, 2), F(0)))
+    assert [int(b) for b in cdf_thresholds(gaps)] == [0, 2**63, 2**63]  # zero weights repeat
 
 
 def test_float_mode_measures_sample_too(g6):
