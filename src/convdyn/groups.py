@@ -4,10 +4,14 @@ Element order is significant throughout the package: measures are
 index-aligned weight vectors, so a group fixes a canonical ordering of
 its elements once and for all.  All types here are immutable.
 
-Tables are built and checked a row at a time, so that each row costs one
-C-level ``itemgetter`` call rather than n Python products.  The family
-builders fill the table breadth-first from the rows of a generating set
-(the row of s*p is row_s composed with row_p), and :func:`validate_table`
+A table row is an ``array('H')`` of unsigned 16-bit indices (orders are
+capped below 2^16), written once while the group is built and never
+after: 2 bytes per entry, where a tuple row takes an 8-byte slot and
+points at int objects of its own above 256.  Tables are built and
+checked a row at a time, so that each row costs one C-level
+``itemgetter`` call rather than n Python products.  The family builders
+fill the table breadth-first from the rows of a generating set (the row
+of p*s is row_p read at the entries of row_s), and :func:`validate_table`
 tests associativity with Light's test on a small generating set,
 O(n^2 log n) for a group instead of the O(n^3) scan over all triples.
 """
@@ -16,12 +20,32 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import eq, itemgetter
+
+try:  # hashlib's own blake2b; importing hashlib loads OpenSSL, about 4 ms of every CLI start
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 from .errors import DomainError, GroupMismatchError, GroupStructureError
 
-MAX_GROUP_ORDER = 5040  # |S_7|: its n^2-entry table builds in about 1 s and 212 MB
+MAX_GROUP_ORDER = 5040  # |S_7|: its n^2-entry table builds in about 1 s and 88 MB
+
+
+def _row_writer(n: int):
+    """A function from a row of n indices to an ``array('H')`` row.
+
+    struct packs a row of ints into bytes several times faster than
+    ``array('H', row)`` converts it, and the array takes those bytes in
+    one copy.  Raises ``struct.error`` on a wrong length or an entry that
+    is not an integer in 0..65535.
+    """
+    pack = struct.Struct(f"{n}H").pack
+    return lambda row: array("H", pack(*row))
 
 
 def _check_order(n: int) -> None:
@@ -56,6 +80,9 @@ def validate_table(cayley) -> list[GroupViolation]:
     if n == 0:
         return [GroupViolation("shape", (), "table is empty")]
     for i, row in enumerate(cayley):
+        if not isinstance(row, Sequence):
+            violations.append(GroupViolation("shape", (i,), f"row {i} is {row!r}, not a list"))
+            return violations
         if len(row) != n:
             violations.append(
                 GroupViolation("shape", (i,), f"row {i} has length {len(row)}, expected {n}")
@@ -111,12 +138,30 @@ def validate_table(cayley) -> list[GroupViolation]:
 
 
 def _identity_of(rows) -> int | None:
-    """The first index whose row and column are both 0..n-1, if any."""
-    ident = tuple(range(len(rows)))
+    """The first index whose row and column are both 0..n-1, if any; rows
+    may be tuples or arrays."""
+    n = len(rows)
     return next(
-        (e for e, row in enumerate(rows) if row == ident and all(r[e] == i for i, r in enumerate(rows))),
+        (e for e, row in enumerate(rows)
+         if all(map(eq, row, range(n))) and all(r[e] == i for i, r in enumerate(rows))),
         None,
     )
+
+
+def _inverses(rows, identity: int) -> tuple[int, ...]:
+    """The inverse table of a group: g_i^-1 is the column of the identity
+    in row i.  Each row is searched as bytes, since ``array.index`` makes
+    an int of every entry it passes; a match at an odd byte offset
+    straddles two entries and is passed over."""
+    target = array("H", [identity]).tobytes()
+    out = []
+    for row in rows:
+        raw = row.tobytes()
+        k = raw.find(target)
+        while k > 0 and k % 2:
+            k = raw.find(target, k + 1)
+        out.append(k // 2)
+    return tuple(out)
 
 
 def _light_associative(rows, identity: int) -> bool:
@@ -151,30 +196,58 @@ def _light_associative(rows, identity: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group: labels, dense Cayley table, identity and inverse tables.
 
-    ``cayley[i][j]`` is the index of ``g_i * g_j``.  Construct through the
-    family builders or :func:`group_from_table`; those guarantee validity.
+    ``cayley`` is a tuple of n rows, each an ``array('H')`` of n indices:
+    ``cayley[i][j]`` is the index of ``g_i * g_j``.  Rows given as other
+    sequences of ints are stored as such arrays; array rows are stored as
+    they are, so they are shared, never copied, and must not be written.
+    Construct through the family builders or :func:`group_from_table`;
+    those guarantee validity.
+
+    Two groups are equal when their labels, tables, identities and
+    inverse tables are: that is, when their digests are.  The digest, a
+    BLAKE2b hash of all four, is taken once, here, and also serves
+    ``hash``.
     """
 
     labels: tuple[str, ...]
-    cayley: tuple[tuple[int, ...], ...]
+    cayley: tuple[array, ...]
     identity: int
     inverses: tuple[int, ...]
+    _digest: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        object.__setattr__(self, "cayley", tuple(tuple(row) for row in self.cayley))
         object.__setattr__(self, "inverses", tuple(self.inverses))
+        rows = tuple(self.cayley)
         n = len(self.labels)
-        if len(self.cayley) != n or any(len(r) != n for r in self.cayley):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise GroupStructureError(f"Cayley table shape does not match {n} labels")
+        if not all(type(r) is array and r.typecode == "H" for r in rows):
+            try:
+                rows = tuple(map(_row_writer(n), rows))
+            except struct.error:
+                raise GroupStructureError("Cayley table entries must be integers in 0..65535") from None
+        object.__setattr__(self, "cayley", rows)
         if len(set(self.labels)) != n:
             raise GroupStructureError("labels must be distinct")
         if len(self.inverses) != n or not 0 <= self.identity < n:
             raise GroupStructureError("identity/inverse tables do not match the order")
+        digest = blake2b(repr((self.labels, self.identity, self.inverses)).encode())
+        for row in rows:
+            digest.update(row)
+        object.__setattr__(self, "_digest", digest.digest())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._digest == other._digest
+
+    def __hash__(self):
+        return hash(self._digest)
 
     @property
     def order(self) -> int:
@@ -208,33 +281,40 @@ def validate_group(g: FiniteGroup) -> list[GroupViolation]:
     return violations
 
 
-def _finish(labels, cayley) -> FiniteGroup:
-    """Derive identity/inverses for a table known to be a group."""
-    rows = tuple(map(tuple, cayley))
+def _finish(labels, rows) -> FiniteGroup:
+    """Derive identity/inverses for array rows known to form a group."""
     identity = _identity_of(rows)
-    inverses = tuple(row.index(identity) for row in rows)
-    return FiniteGroup(tuple(labels), rows, identity, inverses)
+    return FiniteGroup(tuple(labels), tuple(rows), identity, _inverses(rows, identity))
 
 
-def _table_from_generators(n: int, identity: int, gen_rows) -> tuple[tuple[int, ...], ...]:
+def _table_from_generators(n: int, identity: int, gen_rows) -> list[array]:
     """Cayley table of an order-n group from the rows of a generating set.
 
-    Breadth-first from the identity: the row of s*p is row_s read at the
-    entries of row_p, since (s*p)*x = s*(p*x), and the index of s*p is
-    ``row_s[p]``.  Every element is reached because the rows generate the
-    group.
+    Breadth-first from the identity: the row of p*s is row_p read at the
+    entries of row_s, since (p*s)*x = p*(s*x), and the index of p*s is
+    ``row_p[s]``.  Every element is reached because the generators
+    generate the group.  Until an element is expanded its row is also
+    kept as a tuple of the ints of ``range(n)``: reading such a tuple
+    makes no objects, where reading an array makes an int per entry.
+    Only the rows between reached and expanded are held twice.
     """
+    write = _row_writer(n)
+    first = tuple(range(n))
     rows: list = [None] * n
-    rows[identity] = tuple(range(n))
+    rows[identity] = write(first)
+    gens = [(row_s[identity], itemgetter(*row_s)) for row_s in gen_rows]
+    pending = {identity: first}
     reached = [identity]
     for p in reached:  # grows while it is walked
-        row_p = rows[p]
-        for row_s in gen_rows:
-            sp = row_s[p]
-            if rows[sp] is None:  # then sp is not the identity, so n >= 2: a tuple
-                rows[sp] = itemgetter(*row_p)(row_s)
-                reached.append(sp)
-    return tuple(rows)
+        row_p = pending.pop(p)
+        for s, read_at_s in gens:
+            ps = row_p[s]
+            if rows[ps] is None:  # then ps is not the identity, so n >= 2: a tuple
+                row = read_at_s(row_p)
+                rows[ps] = write(row)
+                pending[ps] = row
+                reached.append(ps)
+    return rows
 
 
 def group_from_table(cayley, labels=None) -> FiniteGroup:
@@ -256,7 +336,7 @@ def group_from_table(cayley, labels=None) -> FiniteGroup:
         labels = [f"g{i}" for i in range(n)]
     if len(labels) != n:
         raise GroupStructureError(f"{len(labels)} labels for a table of order {n}")
-    return _finish(labels, cayley)
+    return _finish(labels, list(map(_row_writer(n), cayley)))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -318,7 +398,8 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
     # row (a, b) at column (c, d) is (a*c, b*d), index (a*c)*|G2| + b*d
-    cayley = [tuple(x * n2 + y for x in row_a for y in row_b) for row_a in g1.cayley for row_b in g2.cayley]
+    write = _row_writer(n1 * n2)
+    cayley = [write([x * n2 + y for x in row_a for y in row_b]) for row_a in g1.cayley for row_b in g2.cayley]
     labels = [f"({g1.labels[a]},{g2.labels[b]})" for a in range(n1) for b in range(n2)]
     return _finish(labels, cayley)
 
@@ -335,7 +416,8 @@ def relabel_group(g: FiniteGroup, order, labels=None) -> FiniteGroup:
     if sorted(order) != list(range(n)):
         raise DomainError("relabeling must be a permutation of 0..n-1")
     position = {old: new for new, old in enumerate(order)}
-    cayley = [tuple(map(position.__getitem__, map(g.cayley[old].__getitem__, order))) for old in order]
+    write = _row_writer(n)
+    cayley = [write(map(position.__getitem__, map(g.cayley[old].__getitem__, order))) for old in order]
     if labels is None:
         labels = [g.labels[old] for old in order]
     return _finish(labels, cayley)

@@ -77,7 +77,8 @@ class ProbMeasure:
     def point_mass(cls, group: FiniteGroup, index: int) -> "ProbMeasure":
         if not 0 <= index < group.order:
             raise DomainError(f"index {index} out of range")
-        return cls(group, tuple(Fraction(1) if i == index else Fraction(0) for i in range(group.order)))
+        one, zero = Fraction(1), scalars.ZERO[EXACT]
+        return cls(group, tuple(one if i == index else zero for i in range(group.order)))
 
     @classmethod
     def uniform(cls, group: FiniteGroup, indices: Iterable[int] | None = None) -> "ProbMeasure":
@@ -88,8 +89,8 @@ class ProbMeasure:
             subset = frozenset(indices)
             if not subset or any(not 0 <= i < group.order for i in subset):
                 raise DomainError("subset must be a nonempty set of valid indices")
-        w = Fraction(1, len(subset))
-        return cls(group, tuple(w if i in subset else Fraction(0) for i in range(group.order)))
+        w, zero = Fraction(1, len(subset)), scalars.ZERO[EXACT]
+        return cls(group, tuple(w if i in subset else zero for i in range(group.order)))
 
     def in_mode(self, mode: str) -> "ProbMeasure":
         """This measure with its weights coerced to ``mode``."""
@@ -135,7 +136,8 @@ class TestFunction:
     @classmethod
     def indicator(cls, group: FiniteGroup, indices) -> "TestFunction":
         subset = frozenset(indices)
-        return cls(group, tuple(Fraction(1) if i in subset else Fraction(0) for i in range(group.order)))
+        one, zero = Fraction(1), scalars.ZERO[EXACT]
+        return cls(group, tuple(one if i in subset else zero for i in range(group.order)))
 
     def to_float(self) -> "TestFunction":
         return TestFunction(self.group, tuple(float(v) for v in self.values))

@@ -8,7 +8,9 @@ mixture.  Integers count as exact and are normalised to ``Fraction``.
 This is the only module that knows how the two modes differ:
 
 - :func:`normalize` coerces a vector and decides its mode once, so
-  measures and test functions store their mode instead of rescanning;
+  measures and test functions store their mode instead of rescanning,
+  and stores every zero as its mode's one shared :data:`ZERO`, so that
+  a sparse vector's zeros cost a pointer each;
 - :func:`coerce` puts a scalar into a mode (the mode's zero is
   ``coerce(0, mode)``, an exact value in float mode is its ``float``);
 - :func:`equal` compares two scalars: exactly when both are exact, and
@@ -18,6 +20,7 @@ This is the only module that knows how the two modes differ:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import copysign
 from typing import Iterable, Sequence, Union
 
 from .errors import ModeMismatchError, ParseError
@@ -28,6 +31,8 @@ EXACT = "exact"
 FLOAT = "float"
 
 FLOAT_TOL = 1e-12
+
+ZERO = {EXACT: Fraction(0), FLOAT: 0.0}  # the zero object of each mode
 
 
 def is_exact(value) -> bool:
@@ -71,23 +76,33 @@ def parse_weights(values: Sequence) -> tuple[Scalar, ...]:
 
 
 def mode_of(values: Iterable[Scalar]) -> str:
-    """Return EXACT or FLOAT for a scalar vector; reject mixed vectors."""
-    values = list(values)
-    exact = [is_exact(v) for v in values]
+    """Return EXACT or FLOAT for a scalar vector; reject mixed vectors.
+
+    Whether a value is exact or a float depends on its type alone, so
+    each distinct type is tested once.
+    """
+    types = set(map(type, values))
+    exact = [t is not bool and issubclass(t, (Fraction, int)) for t in types]
     if all(exact):
         return EXACT
-    if not any(exact) and all(isinstance(v, float) for v in values):
+    if not any(exact) and all(issubclass(t, float) for t in types):
         return FLOAT
     raise ModeMismatchError("vector mixes exact and float scalars")
 
 
 def normalize(values: Iterable[Scalar]) -> tuple[tuple[Scalar, ...], str]:
-    """The vector with ints coerced to Fraction, and its mode (EXACT or
-    FLOAT); a mixed vector raises ModeMismatchError."""
+    """The vector with ints coerced to Fraction and every zero replaced
+    by ``ZERO[mode]``, and its mode (EXACT or FLOAT); a mixed vector
+    raises ModeMismatchError.  A float -0.0 is kept, so its repr does not
+    change."""
     values = tuple(values)
     mode = mode_of(values)
     if mode == EXACT:
-        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        zero = ZERO[EXACT]
+        values = tuple((v if type(v) is Fraction else Fraction(v)) if v else zero for v in values)
+    else:
+        zero = ZERO[FLOAT]
+        values = tuple(v if v or copysign(1.0, v) < 0 else zero for v in values)
     return values, mode
 
 

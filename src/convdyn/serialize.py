@@ -136,7 +136,7 @@ def weights_to_json(weights) -> list:
 def hom_from_json(obj, base_dir: str | None = None) -> GroupHom:
     obj, base_dir = resolve_source(obj, base_dir)
     for key in ("source", "target", "map"):
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise ParseError(f"homomorphism object must carry a {key!r} key")
     src = group_from_json(obj["source"], base_dir)
     tgt = group_from_json(obj["target"], base_dir)

@@ -252,6 +252,12 @@ def test_validate_good_and_bad(capsys):
     assert code == 0
     assert payload["valid"] is False
     assert any(v["axiom"] == "latin-square" for v in payload["violations"])
+    code, out, _ = run_cli(capsys, "validate", "--group", '{"family": "table", "cayley": [1, 2]}')
+    assert code == 0
+    assert json.loads(out) == {
+        "valid": False,
+        "violations": [{"axiom": "shape", "witness": [0], "detail": "row 0 is 1, not a list"}],
+    }
 
 
 def test_validate_measure_errors_reported(capsys):
@@ -266,6 +272,16 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "limit", "--group", "/missing/z3.json", "--measure", NU)
     assert code == 2
     assert err.startswith("error:parse:")
+
+
+def test_hom_file_that_is_not_an_object_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "hom.json"
+    path.write_text('"source target map"')
+    code, out, err = run_cli(
+        capsys, "pushforward", "--hom", str(path), "--measure", '{"weights": ["1/2", "1/2"]}'
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:parse:") and "Traceback" not in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -80,6 +83,12 @@ def test_validate_reports_associativity_with_witness():
 def test_validate_rejects_bad_shape_and_range():
     assert cd.validate_table([[0, 1], [1]])[0].axiom == "shape"
     assert cd.validate_table([[0, 5], [1, 0]])[0].axiom == "shape"
+    for table, row in (([1, 2], 0), ([[0, 1], None], 1), ([[0, 1], {0: 1, 1: 0}], 1)):
+        report = cd.validate_table(table)
+        assert [(v.axiom, v.witness) for v in report] == [("shape", (row,))]
+        assert f"row {row} is " in report[0].detail
+        with pytest.raises(GroupStructureError, match="shape"):
+            cd.group_from_table(table)
 
 
 def test_generated_subgroup_examples(g6):
@@ -271,7 +280,8 @@ def _reference_product(g1, g2):
 
 
 def _parts(g):
-    return g.labels, g.cayley, g.identity, g.inverses
+    """Labels, table values as tuples, identity and inverses: compared by value, whatever the row type."""
+    return g.labels, tuple(map(tuple, g.cayley)), g.identity, g.inverses
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -400,3 +410,70 @@ def test_validate_group_reports_wrong_stored_identity_and_inverses(s3):
     inverses[3] = 3  # 120 is a 3-cycle, not its own inverse
     wrong_inverse = cd.validate_group(cd.FiniteGroup(s3.labels, s3.cayley, s3.identity, inverses))
     assert [(v.axiom, v.witness) for v in wrong_inverse] == [("inverse", (3,))]
+
+
+# --- compact rows, digest identity ---------------------------------------------------------------
+
+
+def _relabelled_s3():
+    return cd.relabel_group(cd.symmetric_group(3), [0, 2, 1, 3, 4, 5])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cd.cyclic_group(5),
+        lambda: cd.dihedral_group(4),
+        lambda: cd.symmetric_group(4),
+        lambda: cd.product_group(cd.cyclic_group(2), cd.symmetric_group(3)),
+        lambda: cd.group_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+        _relabelled_s3,
+        lambda: cd.FiniteGroup(("e", "a"), [[0, 1], (1, 0)], 0, (0, 1)),
+    ],
+    ids=["cyclic", "dihedral", "symmetric", "product", "table", "relabel", "FiniteGroup"],
+)
+def test_every_builder_stores_array_rows(build):
+    g = build()
+    assert type(g.cayley) is tuple and len(g.cayley) == g.order
+    assert all(type(row) is array and row.typecode == "H" for row in g.cayley)
+    assert cd.validate_group(g) == []
+
+
+def test_finite_group_rejects_entries_that_are_not_16_bit_indices():
+    for bad in (-1, 65536, 0.5):
+        with pytest.raises(GroupStructureError, match="0..65535"):
+            cd.FiniteGroup(("e", "a"), [[0, 1], [1, bad]], 0, (0, 1))
+
+
+def test_equal_groups_are_equal_and_hash_equal_and_a_relabelling_is_not():
+    a, b = cd.symmetric_group(4), cd.symmetric_group(4)
+    assert a is not b and a.cayley[5] is not b.cayley[5]
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    rebuilt = cd.group_from_table([list(r) for r in a.cayley], labels=list(a.labels))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    # the same elements listed in another order: another table, so another group
+    relabelled = cd.relabel_group(a, [1, 0, *range(2, a.order)])
+    assert relabelled != a and relabelled.labels != a.labels
+    same_labels = cd.relabel_group(a, [1, 0, *range(2, a.order)], labels=a.labels)
+    assert same_labels != a
+    # a wrong stored identity also makes another group
+    assert cd.FiniteGroup(a.labels, a.cayley, 1, a.inverses) != a
+    assert cd.FiniteGroup(a.labels, a.cayley, a.identity, a.inverses) == a
+    assert a != cd.cyclic_group(24) and a != "S4"
+    # measures on equal groups are equal and hash equal
+    ma, mb = cd.ProbMeasure.uniform(a), cd.ProbMeasure.uniform(b)
+    assert ma == mb and hash(ma) == hash(mb)
+
+
+def test_retained_table_of_s6_is_compact():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = cd.symmetric_group(6)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 720
+    # 720 rows of 720 two-byte entries are 1.04 MB; tuple rows took about 4.2 MB
+    assert retained < 1_500_000

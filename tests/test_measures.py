@@ -65,6 +65,33 @@ def test_mode_is_stored_at_construction_and_ignored_by_equality(z3, monkeypatch)
     assert "mode" not in repr(m)
 
 
+def test_zero_weights_share_one_object_per_mode(s3):
+    exact = [
+        cd.ProbMeasure(s3, (F(1, 2), F(0), 0, F(1, 2), F(0), 0)),
+        cd.ProbMeasure.uniform(s3, [0, 3]),
+        cd.ProbMeasure.point_mass(s3, 2),
+        cd.ProbMeasure.point_mass(s3, 2).to_float().in_mode("exact"),
+        cd.convolve(cd.ProbMeasure.uniform(s3, [0, 3]), cd.ProbMeasure.point_mass(s3, 2)),
+    ]
+    floats = [m.to_float() for m in exact] + [cd.ProbMeasure(s3, (0.5, 0.0, 0.0, 0.5, float(0), 0.0 * 2))]
+    functions = [cd.TestFunction.indicator(s3, [1]), cd.TestFunction(s3, (1, 0, 0, 0, F(0), 2))]
+    for vectors, mode, zero_type in (
+        ([m.weights for m in exact] + [f.values for f in functions], "exact", F),
+        ([m.weights for m in floats] + [f.to_float().values for f in functions], "float", float),
+    ):
+        zeros = [w for ws in vectors for w in ws if w == 0]
+        assert len(zeros) >= 20
+        assert all(z is cd.scalars.ZERO[mode] for z in zeros)
+        assert type(cd.scalars.ZERO[mode]) is zero_type
+    assert all(type(w) is F for w in exact[0].weights)
+
+
+def test_negative_float_zero_is_kept(z3):
+    m = cd.ProbMeasure(z3, (0.5, -0.0, 0.5))
+    assert repr(m.weights) == "(0.5, -0.0, 0.5)"
+    assert repr(cd.TestFunction(z3, (-0.0, 0.0, 1.0)).values) == "(-0.0, 0.0, 1.0)"
+
+
 def test_float_mode_mass_tolerance(z3):
     cd.ProbMeasure(z3, (0.3, 0.3, 0.4 + 1e-13))
     with pytest.raises(InvalidMeasureError):
