@@ -13,17 +13,14 @@ import argparse
 import os
 import sys
 
-from . import dynamics, montecarlo, serialize
-from .errors import ConvdynError, ModeMismatchError, ParseError
+from . import serialize
+from .errors import ConvdynError, DomainError, GroupStructureError, ModeMismatchError, ParseError
 from .groups import validate_group, validate_table
 from .measures import ProbMeasure, convolve, l1_distance, pushforward, support_orbit
-from .scalars import parse_scalar, scalar_to_json
-from .transition import (
-    DEFAULT_POWER_TOL,
-    convolution_power,
-    power_convergence,
-    transition_matrix,
-)
+from .scalars import DEFAULT_POWER_TOL, parse_scalar, scalar_to_json
+
+# dynamics, transition and montecarlo are imported by the handlers that
+# call them, so each verb loads only the modules it runs.
 
 
 def _add_common(p: argparse.ArgumentParser, *, measures: int = 1, extra=()):
@@ -146,9 +143,19 @@ def cmd_validate(args):
         raw = obj.get("cayley")
         if not isinstance(raw, list):
             raise ParseError("table group requires a 'cayley' array")
-        violations = [v.to_json() for v in validate_table(raw)]
-        if not violations:
+        # group_from_table validates the table once.  A table that is not a
+        # group is reported as such even when its labels or order are also
+        # rejected, so those errors stand only for a valid table.
+        try:
             group = serialize.group_from_json(obj)
+        except GroupStructureError as exc:
+            if not exc.violations:
+                raise
+            violations = [v.to_json() for v in exc.violations]
+        except (DomainError, ParseError):
+            violations = [v.to_json() for v in validate_table(raw)]
+            if not violations:
+                raise
     else:
         group = serialize.load_group(args.group)
         violations = [v.to_json() for v in validate_group(group)]
@@ -170,11 +177,15 @@ def cmd_convolve(args):
 
 
 def cmd_transition(args):
+    from .transition import transition_matrix
+
     m = _one_measure(args)
     return serialize.matrix_to_json(transition_matrix(m).entries), m.group
 
 
 def cmd_power(args):
+    from .transition import convolution_power, power_convergence, transition_matrix
+
     m = _one_measure(args)
     if args.iterative:
         result = power_convergence(transition_matrix(m), tol=args.tol, max_iter=args.max_iter)
@@ -214,12 +225,15 @@ def cmd_check_acyclic(args):
 
 
 def cmd_limit(args):
+    from . import dynamics
+
     m = _one_measure(args)
     limit = dynamics.limit_of_powers(m)
     return {"limit": serialize.weights_to_json(limit.weights)}, m.group
 
 
-def _points_payload(report: dynamics.OmegaLimitReport) -> dict:
+def _points_payload(report) -> dict:
+    """The JSON of a :class:`dynamics.OmegaLimitReport`."""
     return {
         "points": [serialize.weights_to_json(p.weights) for p in report.points],
         "period": report.period,
@@ -228,17 +242,23 @@ def _points_payload(report: dynamics.OmegaLimitReport) -> dict:
 
 
 def cmd_omega_limit(args):
+    from . import dynamics
+
     nu = _one_measure(args)
     (mu,) = _load(args, nu.group, args.initial)
     return _points_payload(dynamics.omega_limit(nu, mu)), nu.group
 
 
 def cmd_accumulation_points(args):
+    from . import dynamics
+
     nu = _one_measure(args)
     return _points_payload(dynamics.accumulation_points(nu)), nu.group
 
 
 def cmd_fixed_points(args):
+    from . import dynamics
+
     nu = _one_measure(args)
     fps = dynamics.fixed_points(nu)
     return {
@@ -248,12 +268,16 @@ def cmd_fixed_points(args):
 
 
 def cmd_recurrent(args):
+    from . import dynamics
+
     nu = _one_measure(args)
     (mu,) = _load(args, nu.group, args.initial)
     return {"recurrent": dynamics.is_recurrent(nu, mu)}, nu.group
 
 
 def cmd_basin(args):
+    from . import dynamics
+
     nu = _one_measure(args)
     (eta,) = _load(args, nu.group, args.eta)
     desc = dynamics.basin(nu, eta)
@@ -274,6 +298,8 @@ def cmd_basin(args):
 
 
 def cmd_perturb(args):
+    from . import dynamics
+
     nu = _one_measure(args)
     eps = parse_scalar(args.eps)
     result = dynamics.acyclic_perturbation(nu, eps)
@@ -293,6 +319,9 @@ def cmd_pushforward(args):
 
 
 def cmd_sample(args):
+    from . import montecarlo
+    from .transition import convolution_power
+
     m = _one_measure(args)
     cfg = montecarlo.WalkConfig(measure=m, steps=args.steps, trials=args.trials, seed=args.seed)
     empirical = montecarlo.empirical_distribution(cfg)

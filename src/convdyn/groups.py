@@ -75,6 +75,8 @@ def validate_table(cayley) -> list[GroupViolation]:
     associativity failure is reported at its lexicographically first
     triple (i, j, k).
     """
+    if not isinstance(cayley, Sequence):
+        return [GroupViolation("shape", (), f"table is {cayley!r}, not a list")]
     violations: list[GroupViolation] = []
     n = len(cayley)
     if n == 0:

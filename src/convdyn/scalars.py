@@ -31,6 +31,9 @@ EXACT = "exact"
 FLOAT = "float"
 
 FLOAT_TOL = 1e-12
+# The default tol of transition.power_convergence and of `power --iterative`;
+# it lives here so that building the CLI parser loads no power code.
+DEFAULT_POWER_TOL = 1e-12
 
 ZERO = {EXACT: Fraction(0), FLOAT: 0.0}  # the zero object of each mode
 

@@ -22,13 +22,12 @@ from . import scalars
 from .errors import BudgetError, ConvergenceError, DomainError
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_decomposition, generated_subgroup
 from .measures import ProbMeasure, _acyclic_orbit, support_orbit
-from .scalars import EXACT, Scalar
+from .scalars import DEFAULT_POWER_TOL, EXACT, Scalar
 
 if TYPE_CHECKING:  # numpy is imported only by the float paths that use it
     import numpy as np
 
 DEFAULT_BIT_LIMIT = 8_000_000  # ~1 MB of numerator/denominator data per matrix
-DEFAULT_POWER_TOL = 1e-12
 DEFAULT_MAX_ITER = 2**20
 
 

@@ -260,6 +260,36 @@ def test_validate_good_and_bad(capsys):
     }
 
 
+def test_validate_checks_a_table_once_and_reports_it_before_labels_and_order(capsys, monkeypatch):
+    from convdyn import groups
+
+    calls = []
+
+    def counting(cayley):
+        calls.append(cayley)
+        return original(cayley)
+
+    original = groups.validate_table
+    monkeypatch.setattr(groups, "validate_table", counting)
+    monkeypatch.setattr(cli, "validate_table", counting)
+
+    def validate(cayley, **fields):
+        calls.clear()
+        code, out, err = run_cli(capsys, "validate", "--group", json.dumps({"family": "table", "cayley": cayley, **fields}))
+        assert len(calls) == 1
+        return code, json.loads(out) if out else None, err
+
+    good, bad = [[0, 1], [1, 0]], [[0, 1], [0, 1]]
+    assert validate(good, labels=["e", "a"]) == (0, {"valid": True, "violations": []}, "")
+    code, payload, _ = validate(bad)
+    assert code == 0 and [v["axiom"] for v in payload["violations"]] == ["latin-square", "latin-square", "identity"]
+    assert validate(bad, labels=["a", "a"])[1] == payload
+    assert validate(good, labels=["a", "a"]) == (2, None, "error:parse: labels must be unique\n")
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 1)
+    assert validate(bad)[1] == payload
+    assert validate(good) == (1, None, "error:domain: group order 2 exceeds cap 1 (MAX_GROUP_ORDER)\n")
+
+
 def test_validate_measure_errors_reported(capsys):
     code, out, _ = run_cli(
         capsys, "validate", "--group", Z3, "--measure", '{"weights": ["1/2", "1/2", "1/2"]}'

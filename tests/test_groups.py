@@ -91,6 +91,11 @@ def test_validate_rejects_bad_shape_and_range():
             cd.group_from_table(table)
 
 
+@pytest.mark.parametrize("table", [5, None, {0: [0]}])
+def test_validate_reports_a_table_that_is_not_a_list(table):
+    assert cd.validate_table(table) == [cd.GroupViolation("shape", (), f"table is {table!r}, not a list")]
+
+
 def test_generated_subgroup_examples(g6):
     z6 = cd.cyclic_group(6)
     assert cd.generated_subgroup(z6, {2}).members == (0, 2, 4)
