@@ -427,6 +427,8 @@ def relabel_group(g: FiniteGroup, order, labels=None) -> FiniteGroup:
 
 def element_order(g: FiniteGroup, i: int) -> int:
     """Multiplicative order of g_i."""
+    if not 0 <= i < g.order:
+        raise DomainError(f"element index {i} out of range 0..{g.order - 1}")
     x = i
     k = 1
     while x != g.identity:

@@ -146,6 +146,39 @@ class PowerIterationResult:
     period: int | None = None
 
 
+def _first_passing(base, mul, passes, first: int, last: int):
+    """The smallest e in first..last whose power base^e passes a monotone
+    test, as ``(e, base^e)``, or None when no e up to ``last`` passes.
+
+    Powers are products under ``mul``, and ``passes`` must be monotone:
+    once it holds at e it holds at every larger e.  So the first passing e
+    can be searched for.  The search computes base^first (first = 1 or 2)
+    and doubles e by squaring until the test passes or e reaches ``last``;
+    below the passing e it builds the largest failing exponent bit by bit
+    from the top, recomputing each square base^(2^j) from base.  When no
+    power passes, it stops after at most log2(last) + 1 products; finding
+    e takes at most (log2 e)^2 / 2 + 3/2 log2 e + 2 products and
+    2 log2 e + 2 tests.  It holds a fixed number of powers whatever e is.
+    """
+    below, below_power = 0, None  # largest e known to fail, and base^e
+    e, power = first, base if first == 1 else mul(base, base)
+    while not passes(power):
+        if e >= last:
+            return None
+        below, below_power = e, power
+        e, power = 2 * e, mul(power, power)
+    for j in reversed(range(below.bit_length() - 1)):  # gap (below, 2 below]
+        square = base
+        for _ in range(j):
+            square = mul(square, square)
+        trial = mul(below_power, square)
+        if not passes(trial):
+            below, below_power = below + (1 << j), trial
+    if below:
+        e, power = below + 1, mul(below_power, base)
+    return (e, power) if e <= last else None
+
+
 def power_convergence(
     a: TransitionMatrix,
     tol: float = DEFAULT_POWER_TOL,
@@ -164,18 +197,15 @@ def power_convergence(
     A, A^2, A^3, ... one product per k, and ``max_iter`` (default 2^20)
     bounds that k: ``ConvergenceError`` is raised when the answer exceeds it.
 
-    The test is monotone in k, so the first passing k can be searched for.
-    A is row-stochastic, so each row of A M is a convex combination of the
-    rows of M and max|A M| <= max|M|; with M = A^{k+1} - A^{k+1-d} this
-    gives max|A^{k+2} - A^{k+2-d}| <= max|A^{k+1} - A^{k+1-d}|.  Writing
-    e = k + 1 - d for the lower exponent, the search tests e = 1 or 2 and
-    then doubles e by squaring until the test passes; below the passing e
-    it builds the largest failing exponent bit by bit from the top,
-    recomputing each square A^(2^j) from A.  For an answer k this costs at
-    most (log2 k)^2 / 2 + 4 log2 k + 2 log2 d + 6 products and holds a
-    fixed number of n x n matrices, whatever k is.  ``tol`` must be
-    positive and finite and ``max_iter`` at least 1; both are checked
-    before any multiplication.
+    The test is monotone in k.  A is row-stochastic, so each row of A M is
+    a convex combination of the rows of M and max|A M| <= max|M|; with
+    M = A^{k+1} - A^{k+1-d} this gives max|A^{k+2} - A^{k+2-d}| <=
+    max|A^{k+1} - A^{k+1-d}|.  So ``_first_passing`` searches for the lower
+    exponent e = k + 1 - d; counting the products in A^d and in the tests,
+    an answer k costs at most (log2 k)^2 / 2 + 4 log2 k + 2 log2 d + 6
+    products and holds a fixed number of n x n matrices, whatever k is.
+    ``tol`` must be positive and finite and ``max_iter`` at least 1; both
+    are checked before any multiplication.
     """
     import numpy as np
 
@@ -199,24 +229,10 @@ def power_convergence(
     def passes(power: np.ndarray) -> bool:  # power = A^e
         return bool(np.max(np.abs(power @ cycle - power)) < tol)
 
-    below, below_power = 0, None  # largest e known to fail, and A^e
-    e, power = first, af if first == 1 else af @ af
-    while not passes(power):
-        if e >= last:
-            raise ConvergenceError(stalled)
-        below, below_power = e, power
-        e, power = 2 * e, power @ power
-    for j in reversed(range(below.bit_length() - 1)):  # gap (below, 2 below]
-        square = af
-        for _ in range(j):
-            square = square @ square
-        trial = below_power @ square
-        if not passes(trial):
-            below, below_power = below + (1 << j), trial
-    if below:
-        e, power = below + 1, below_power @ af
-    if e > last:
+    found = _first_passing(af, np.matmul, passes, first, last)
+    if found is None:
         raise ConvergenceError(stalled)
+    e, power = found
     if d > 1:
         return PowerIterationResult(converged=False, matrix=None, iterations=e + 2 * d - 2, period=d)
     return PowerIterationResult(
@@ -259,26 +275,33 @@ class BlockStructureReport:
 
 def verify_block_structure(m: ProbMeasure) -> BlockStructureReport:
     """Under the coset relabeling, off-diagonal coset blocks of A must be
-    zero and every diagonal block must equal the restricted matrix on H."""
+    zero and every diagonal block must equal the restricted matrix on H.
+
+    Each entry A[i][j] = nu(g_i^{-1} g_j) is read from the Cayley table;
+    the n x n matrix is never built.
+    """
     g = m.group
-    a = transition_matrix(m).entries
+    w = m.weights
+    nonzero = [x != 0 for x in w]
+    rows = [g.cayley[x] for x in g.inverses]  # rows[i][j] is the index of g_i^{-1} g_j
     orbit = support_orbit(m)
     dec = coset_decomposition(g, orbit.subgroup)
     sigma = dec.relabeling
     k = orbit.subgroup.order
     l = len(dec.blocks)
-    diag = tuple(tuple(a[sigma[r]][sigma[c]] for c in range(k)) for r in range(k))
+    diag = tuple(tuple(w[rows[sigma[r]][sigma[c]]] for c in range(k)) for r in range(k))
     violations: list[tuple[str, int, int]] = []
     for bm in range(l):
         for bp in range(l):
             for r in range(k):
+                i = sigma[bm * k + r]
+                row = rows[i]
                 for c in range(k):
-                    i = sigma[bm * k + r]
                     j = sigma[bp * k + c]
                     if bm == bp:
-                        if a[i][j] != diag[r][c]:
+                        if w[row[j]] != diag[r][c]:
                             violations.append(("diagonal-mismatch", i, j))
-                    elif a[i][j] != 0:
+                    elif nonzero[row[j]]:
                         violations.append(("off-diagonal-nonzero", i, j))
     return BlockStructureReport(dec, not violations, tuple(violations), diag)
 
@@ -286,9 +309,15 @@ def verify_block_structure(m: ProbMeasure) -> BlockStructureReport:
 def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
     """Primitivity of the restriction of A to H = <supp>.
 
-    Tests by boolean matrix powering up to the Wielandt bound
-    (k-1)^2 + 1 for a k x k nonnegative matrix; returns the smallest
-    exponent whose power is entrywise positive, or (False, None).
+    Returns the smallest exponent whose power of the k x k 0/1 pattern of
+    A on H is entrywise positive, or (False, None) when none is up to the
+    Wielandt bound (k-1)^2 + 1 for a k x k nonnegative matrix.  The
+    exponent is searched for by ``_first_passing``, whose test must be
+    monotone: it is, because the block has no zero column (supp is a
+    nonempty subset of H), so A^m > 0 implies A^{m+1} > 0.  Products are
+    thresholded back to 0/1, (P Q > 0), in float32; that is exact, since
+    each product entry is an integer at most k <= MAX_GROUP_ORDER = 5040 <
+    2^24.
     """
     g = m.group
     supp = m.support()
@@ -301,12 +330,12 @@ def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
     k = len(members)
     block = np.array(
         [[g.cayley[g.inverses[hi]][hj] in supp for hj in members] for hi in members],
-        dtype=np.int64,
+        dtype=np.float32,
     )
-    bound = (k - 1) ** 2 + 1
-    power = block
-    for exponent in range(1, bound + 1):
-        if (power > 0).all():
-            return True, exponent
-        power = (power @ block > 0).astype(np.int64)
-    return False, None
+
+    def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        product = p @ q
+        return np.greater(product, 0, out=product)
+
+    found = _first_passing(block, mul, np.ndarray.all, 1, (k - 1) ** 2 + 1)
+    return (False, None) if found is None else (True, found[0])

@@ -225,6 +225,12 @@ def test_element_order(z6):
     assert cd.element_order(z6, 3) == 2
 
 
+@pytest.mark.parametrize("i", [-1, 6, 100])
+def test_element_order_rejects_out_of_range_index(z6, i):
+    with pytest.raises(DomainError, match="out of range 0..5"):
+        cd.element_order(z6, i)
+
+
 def test_dihedral_relations():
     d4 = cd.dihedral_group(4)
     r, s = d4.index_of("r1"), d4.index_of("sr0")

@@ -357,6 +357,49 @@ def test_primitivity_examples(g6, z4):
     assert cd.is_primitive_restricted(full) == (True, 1)
 
 
+def linear_primitivity(nu: cd.ProbMeasure) -> tuple[bool, int | None]:
+    """Reference: power the 0/1 pattern of A on H = <supp> one product per
+    exponent up to the Wielandt bound (k-1)^2 + 1 and return the first
+    entrywise positive exponent, as ``is_primitive_restricted`` documents."""
+    g = nu.group
+    supp = nu.support()
+    members = cd.generated_subgroup(g, supp).members
+    k = len(members)
+    block = np.array(
+        [[g.cayley[g.inverses[hi]][hj] in supp for hj in members] for hi in members],
+        dtype=np.int64,
+    )
+    power = block
+    for exponent in range(1, (k - 1) ** 2 + 2):
+        if (power > 0).all():
+            return True, exponent
+        power = (power @ block > 0).astype(np.int64)
+    return False, None
+
+
+def test_primitivity_matches_linear_search():
+    groups = [cd.cyclic_group(n) for n in range(1, 25)] + [cd.dihedral_group(n) for n in range(2, 11)]
+    groups += [cd.symmetric_group(3), cd.symmetric_group(4), cd.product_group(cd.cyclic_group(2), cd.cyclic_group(6))]
+    rng = random.Random(79)
+    exponents, non_primitive = set(), 0
+    for group in groups:
+        for _ in range(20):
+            support = rng.sample(range(group.order), rng.randint(1, min(5, group.order)))
+            nu = cd.ProbMeasure.uniform(group, support)
+            expected = linear_primitivity(nu)
+            assert cd.is_primitive_restricted(nu) == expected, (group.labels, support)
+            exponents.add(expected[1])
+            non_primitive += not expected[0]
+    assert non_primitive > 100
+    assert max(e for e in exponents if e) > 8  # answers past the first squarings
+
+
+def test_primitivity_rejects_period_two_walk_on_z120():
+    # (k-1)^2 + 1 = 14,162 products one at a time; the search stops after 14
+    z120 = cd.cyclic_group(120)
+    assert cd.is_primitive_restricted(cd.ProbMeasure.uniform(z120, {1, 119})) == (False, None)
+
+
 def test_primitivity_iff_acyclic_small_random(small_pool):
     rng = random.Random(59)
     for group in small_pool:
