@@ -25,7 +25,7 @@ from .errors import (
     ModeMismatchError,
     VerificationError,
 )
-from .groups import CosetDecomposition, coset_decomposition, is_subgroup
+from .groups import CosetDecomposition, coset_decomposition, generated_subgroup, is_subgroup
 from .measures import (
     ProbMeasure,
     _acyclic_orbit,
@@ -117,7 +117,7 @@ def accumulation_points(nu: ProbMeasure) -> OmegaLimitReport:
     """
     so = support_orbit(nu)
     if so.acyclic:
-        point = limit_of_powers(nu)
+        point = _uniform_in_mode(nu, so.subgroup.members)
         return OmegaLimitReport(
             driving=nu, initial=nu, points=(point,), periodic=False, period=1, verified=True
         )
@@ -166,8 +166,7 @@ def fixed_points(nu: ProbMeasure) -> FixedPointSet:
     if nu.mode != EXACT:
         raise ModeMismatchError("fixed_points requires an exact measure")
     g = nu.group
-    so = support_orbit(nu)
-    dec = coset_decomposition(g, so.subgroup)
+    dec = coset_decomposition(g, generated_subgroup(g, nu.support()))
     basis = tuple(ProbMeasure.uniform(g, block) for block in dec.blocks)
     for b in basis:
         if convolve(b, nu).weights != b.weights:
@@ -204,16 +203,20 @@ class BasinDescription:
     witness_block: int | None = None
 
     def block_sums(self, mu: ProbMeasure) -> tuple[Scalar, ...]:
-        return tuple(
-            sum(mu.weights[i] for i in block) for block in self.decomposition.blocks
-        )
+        return tuple(_block_sums(mu, self.decomposition))
 
     def contains(self, mu: ProbMeasure) -> bool:
         if not self.feasible:
             return False
         if mu.group != self.target.group:
             raise GroupMismatchError("candidate lives on a different group")
-        return all(map(scalars.equal, self.block_sums(mu), self.required_sums))
+        return all(map(scalars.equal, _block_sums(mu, self.decomposition), self.required_sums))
+
+
+def _block_sums(mu: ProbMeasure, dec: CosetDecomposition):
+    """mu's mass on each left coset block of ``dec``, in block order,
+    summed one block at a time as the caller reads them."""
+    return (sum(mu.weights[i] for i in block) for block in dec.blocks)
 
 
 def basin(nu: ProbMeasure, eta: ProbMeasure) -> BasinDescription:
@@ -243,12 +246,7 @@ def same_omega_limit(nu: ProbMeasure, mu1: ProbMeasure, mu2: ProbMeasure) -> boo
     _require_same_group(nu, mu2)
     so = _acyclic_orbit(nu, "omega limits compare only for acyclic driving measures")
     dec = coset_decomposition(nu.group, so.subgroup)
-    for block in dec.blocks:
-        s1 = sum(mu1.weights[i] for i in block)
-        s2 = sum(mu2.weights[i] for i in block)
-        if not scalars.equal(s1, s2):
-            return False
-    return True
+    return all(map(scalars.equal, _block_sums(mu1, dec), _block_sums(mu2, dec)))
 
 
 def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
@@ -289,7 +287,7 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
 class GenericityReport:
     """Whether nu has full support, and if so whether the generic picture
     holds: H = G, acyclicity, a unique fixed point (uniform on G), and
-    every sampled orbit limit uniform."""
+    every orbit limit uniform."""
 
     measure: ProbMeasure
     full_support: bool
@@ -311,12 +309,14 @@ class GenericityReport:
 
 def generic_check(nu: ProbMeasure) -> GenericityReport:
     """Check membership in the open dense set of fully supported measures
-    and, for members, verify the generic limit behavior on a deterministic
-    sample of initial measures (all point masses and the uniform one).
+    and, for members, verify the generic limit behavior.
 
     Every reported quantity depends on supp nu alone, so for a member it
     is computed exactly, in either mode, from the uniform measure on that
-    support, which is the uniform measure on G.
+    support, which is the uniform measure on G.  Every orbit limit is
+    mu * L for the limit of powers L, so all of them are uniform exactly
+    when L = U_G: then mu * U_G = U_G for every mu, and otherwise the
+    orbit of the point mass at the identity ends at L itself.
     """
     g = nu.group
     if len(nu.support()) != g.order:
@@ -324,15 +324,12 @@ def generic_check(nu: ProbMeasure) -> GenericityReport:
     uniform = ProbMeasure.uniform(g)
     so = support_orbit(uniform)
     fps = fixed_points(uniform)
-    # uniform is fully supported, so acyclic: every omega_limit is mu * limit
-    limit = limit_of_powers(uniform)
-    samples = [ProbMeasure.point_mass(g, i) for i in range(g.order)]
-    samples.append(uniform)
+    limit = limit_of_powers(uniform)  # uniform is fully supported, so acyclic
     return GenericityReport(
         nu,
         True,
         generates_group=so.subgroup.order == g.order,
         acyclic=so.acyclic,
         unique_fixed_point_uniform=len(fps.basis) == 1 and fps.basis[0].weights == uniform.weights,
-        omega_limits_uniform=all(convolve(mu, limit).weights == uniform.weights for mu in samples),
+        omega_limits_uniform=limit.weights == uniform.weights,
     )

@@ -62,11 +62,6 @@ def transition_matrix(m: ProbMeasure) -> TransitionMatrix:
     return TransitionMatrix(g, m, entries)
 
 
-def _identity_entries(n: int, mode: str) -> tuple[tuple[Scalar, ...], ...]:
-    one, zero = scalars.coerce(1, mode), scalars.coerce(0, mode)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def _check_bits(entries, mode: str) -> None:
     """Raise :class:`BudgetError` when an exact matrix holds more than
     DEFAULT_BIT_LIMIT bits of numerators and denominators."""
@@ -88,27 +83,38 @@ def matrix_multiply(a, b):
     )
 
 
+def _power(base, mul, e: int):
+    """base^e for e >= 1 under the product ``mul``, by square-and-multiply
+    over the bits of e from the top, starting from ``base``: floor(log2 e)
+    squarings and popcount(e) - 1 products with ``base``, none with an
+    identity.  For e = 2^j it is j squarings of ``base``."""
+    power = base
+    for bit in bin(e)[3:]:  # the bits of e below its leading one
+        power = mul(power, power)
+        if bit == "1":
+            power = mul(power, base)
+    return power
+
+
 def matrix_power(a: TransitionMatrix, m: int):
-    """A^m by exponentiation by squaring; A^0 is the identity.
+    """A^m by ``_power``; A^0 is the identity and A^1 is A itself.
 
     Exact powers can grow; the DEFAULT_BIT_LIMIT budget (~1 MB per
-    matrix) aborts pathological blowup with a clear error instead of
-    stalling.
+    matrix), checked on every product, aborts pathological blowup with a
+    clear error instead of stalling.
     """
     if m < 0:
         raise DomainError(f"exponent must be >= 0, got {m}")
-    result = _identity_entries(a.order, a.mode)
-    base = a.entries
-    e = m
-    while e:
-        if e & 1:
-            result = matrix_multiply(result, base)
-            _check_bits(result, a.mode)
-        e >>= 1
-        if e:
-            base = matrix_multiply(base, base)
-            _check_bits(base, a.mode)
-    return result
+    if m == 0:
+        one, zero = scalars.coerce(1, a.mode), scalars.coerce(0, a.mode)
+        return tuple(tuple(one if i == j else zero for j in range(a.order)) for i in range(a.order))
+
+    def mul(x, y):
+        product = matrix_multiply(x, y)
+        _check_bits(product, a.mode)
+        return product
+
+    return _power(a.entries, mul, m)
 
 
 def measure_times_matrix(m: ProbMeasure, entries) -> ProbMeasure:
@@ -155,23 +161,21 @@ def _first_passing(base, mul, passes, first: int, last: int):
     can be searched for.  The search computes base^first (first = 1 or 2)
     and doubles e by squaring until the test passes or e reaches ``last``;
     below the passing e it builds the largest failing exponent bit by bit
-    from the top, recomputing each square base^(2^j) from base.  When no
-    power passes, it stops after at most log2(last) + 1 products; finding
-    e takes at most (log2 e)^2 / 2 + 3/2 log2 e + 2 products and
-    2 log2 e + 2 tests.  It holds a fixed number of powers whatever e is.
+    from the top, recomputing each square base^(2^j) from base by
+    ``_power``.  When no power passes, it stops after at most
+    log2(last) + 1 products; finding e takes at most (log2 e)^2 / 2 +
+    3/2 log2 e + 2 products and 2 log2 e + 2 tests.  It holds a fixed
+    number of powers whatever e is.
     """
     below, below_power = 0, None  # largest e known to fail, and base^e
-    e, power = first, base if first == 1 else mul(base, base)
+    e, power = first, _power(base, mul, first)
     while not passes(power):
         if e >= last:
             return None
         below, below_power = e, power
         e, power = 2 * e, mul(power, power)
     for j in reversed(range(below.bit_length() - 1)):  # gap (below, 2 below]
-        square = base
-        for _ in range(j):
-            square = mul(square, square)
-        trial = mul(below_power, square)
+        trial = mul(below_power, _power(base, mul, 1 << j))
         if not passes(trial):
             below, below_power = below + (1 << j), trial
     if below:
@@ -284,10 +288,10 @@ def verify_block_structure(m: ProbMeasure) -> BlockStructureReport:
     w = m.weights
     nonzero = [x != 0 for x in w]
     rows = [g.cayley[x] for x in g.inverses]  # rows[i][j] is the index of g_i^{-1} g_j
-    orbit = support_orbit(m)
-    dec = coset_decomposition(g, orbit.subgroup)
+    h = generated_subgroup(g, m.support())
+    dec = coset_decomposition(g, h)
     sigma = dec.relabeling
-    k = orbit.subgroup.order
+    k = h.order
     l = len(dec.blocks)
     diag = tuple(tuple(w[rows[sigma[r]][sigma[c]]] for c in range(k)) for r in range(k))
     violations: list[tuple[str, int, int]] = []

@@ -612,6 +612,55 @@ def test_generic_check_computes_the_limit_once(monkeypatch, to_mode):
     assert counts[0] == counts[1]  # not one support orbit per sample measure
 
 
+def sampled_generic_check(nu: cd.ProbMeasure) -> cd.GenericityReport:
+    """Reference: ``generic_check`` with every orbit limit convolved out,
+    from all point masses and the uniform measure."""
+    g = nu.group
+    if len(nu.support()) != g.order:
+        return cd.GenericityReport(nu, False)
+    uniform = cd.ProbMeasure.uniform(g)
+    so = cd.support_orbit(uniform)
+    fps = cd.fixed_points(uniform)
+    limit = cd.limit_of_powers(uniform)
+    samples = [cd.ProbMeasure.point_mass(g, i) for i in range(g.order)]
+    samples.append(uniform)
+    return cd.GenericityReport(
+        nu,
+        True,
+        generates_group=so.subgroup.order == g.order,
+        acyclic=so.acyclic,
+        unique_fixed_point_uniform=len(fps.basis) == 1 and fps.basis[0].weights == uniform.weights,
+        omega_limits_uniform=all(cd.convolve(mu, limit).weights == uniform.weights for mu in samples),
+    )
+
+
+def test_generic_check_matches_sampled_reference():
+    fields = ("full_support", "generates_group", "acyclic", "unique_fixed_point_uniform", "omega_limits_uniform")
+    groups = [cd.cyclic_group(n) for n in range(1, 13)] + [cd.dihedral_group(n) for n in range(3, 7)]
+    groups += [cd.symmetric_group(3), cd.symmetric_group(4), cd.product_group(cd.cyclic_group(2), cd.cyclic_group(6))]
+    rng = random.Random(1304)
+    full = partial = 0
+    for g in groups:
+        n = g.order
+        measures = [random_exact_measure(rng, g, support=range(n)) for _ in range(2)]
+        if n > 1:
+            measures += [random_exact_measure(rng, g, support=rng.sample(range(n), rng.randint(1, n - 1)))
+                         for _ in range(2)]
+        for nu in measures + [m.to_float() for m in measures]:
+            report, expected = cd.generic_check(nu), sampled_generic_check(nu)
+            got = [getattr(report, f) for f in fields]
+            assert got == [getattr(expected, f) for f in fields], (g.labels, nu.weights)
+            assert [type(x) for x in got] == [type(getattr(expected, f)) for f in fields]
+            assert report.generic == expected.generic
+            if report.full_support:
+                full += 1
+                assert report.generic
+            else:
+                partial += 1
+                assert got == [False, None, None, None, None]
+    assert full == 2 * 2 * len(groups) and partial == 2 * 2 * (len(groups) - 1)
+
+
 def test_pushforward_commutes_with_limits(z6, z3):
     phi = cd.check_homomorphism(z6, z3, [i % 3 for i in range(6)])
     rng = random.Random(43)

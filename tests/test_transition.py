@@ -127,6 +127,25 @@ def test_matrix_power_bit_budget(monkeypatch, nu_z3):
         cd.matrix_power(a, 64)
 
 
+def test_matrix_power_product_count(monkeypatch, nu_z3):
+    # floor(log2 m) squarings and popcount(m) - 1 products with A; none with I
+    from convdyn import transition
+
+    calls = []
+    real = transition.matrix_multiply
+    monkeypatch.setattr(transition, "matrix_multiply", lambda x, y: calls.append(1) or real(x, y))
+    a = cd.transition_matrix(nu_z3)
+    chain = cd.convolve(nu_z3, nu_z3)
+    for m in range(1, 41):
+        calls.clear()
+        power = cd.matrix_power(a, m)
+        assert len(calls) == (m.bit_length() - 1) + (bin(m).count("1") - 1), m
+        assert cd.measure_times_matrix(nu_z3, power).weights == chain.weights
+        chain = cd.convolve(chain, nu_z3)
+    calls.clear()
+    assert cd.matrix_power(a, 1) == a.entries and not calls
+
+
 def test_power_convergence_on_z3(nu_z3):
     result = cd.power_convergence(cd.transition_matrix(nu_z3))
     assert result.converged
