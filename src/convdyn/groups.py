@@ -439,11 +439,10 @@ def element_order(g: FiniteGroup, i: int) -> int:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of ``parent`` as a sorted member tuple plus its generators."""
+    """A subgroup of ``parent`` as a sorted member tuple."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
-    generators: frozenset[int]
     _member_set: frozenset[int] = field(repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
@@ -486,7 +485,7 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
                     members.add(p)
                     nxt.append(p)
         frontier = nxt
-    return Subgroup(g, tuple(sorted(members)), gens)
+    return Subgroup(g, tuple(members))
 
 
 def is_subgroup(g: FiniteGroup, members) -> bool:

@@ -53,13 +53,27 @@ class TransitionMatrix:
         return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
 
 
+def _matrix_of(g: FiniteGroup, weights) -> tuple[tuple, ...]:
+    """The n x n matrix with entry (i, j) = weights[index of g_i^{-1} g_j],
+    read row by row off the Cayley table.  It needs no numpy, so the exact
+    verbs that print A run without it."""
+    return tuple(tuple(map(weights.__getitem__, g.cayley[x])) for x in g.inverses)
+
+
+def _block_indices(g: FiniteGroup, members) -> np.ndarray:
+    """The |H| x |H| uint16 array whose entry (r, c) is the index of
+    h_r^{-1} h_c, for H given by its sorted ``members``."""
+    import numpy as np
+
+    cols = np.array(members, dtype=np.intp)
+    block = np.empty((len(members), len(members)), dtype=np.uint16)
+    for r, h in enumerate(members):
+        block[r] = np.frombuffer(g.cayley[g.inverses[h]], dtype=np.uint16)[cols]
+    return block
+
+
 def transition_matrix(m: ProbMeasure) -> TransitionMatrix:
-    g = m.group
-    entries = tuple(
-        tuple(m.weights[g.cayley[g.inverses[i]][j]] for j in range(g.order))
-        for i in range(g.order)
-    )
-    return TransitionMatrix(g, m, entries)
+    return TransitionMatrix(m.group, m, _matrix_of(m.group, m.weights))
 
 
 def _check_bits(entries, mode: str) -> None:
@@ -205,11 +219,20 @@ def power_convergence(
     a convex combination of the rows of M and max|A M| <= max|M|; with
     M = A^{k+1} - A^{k+1-d} this gives max|A^{k+2} - A^{k+2-d}| <=
     max|A^{k+1} - A^{k+1-d}|.  So ``_first_passing`` searches for the lower
-    exponent e = k + 1 - d; counting the products in A^d and in the tests,
-    an answer k costs at most (log2 k)^2 / 2 + 4 log2 k + 2 log2 d + 6
-    products and holds a fixed number of n x n matrices, whatever k is.
-    ``tol`` must be positive and finite and ``max_iter`` at least 1; both
-    are checked before any multiplication.
+    exponent e = k + 1 - d.
+
+    The search runs on the |H| x |H| block B[r][c] = nu(h_r^{-1} h_c) of A
+    on H = <supp nu>, not on A.  A is block-diagonal over the left cosets
+    xH, and every diagonal block equals B (the entry for x h_r, x h_c is
+    nu(h_r^{-1} h_c)), so A^m is block-diagonal with blocks B^m and
+    max|A^{k+1} - A^{k+1-d}| = max|B^{k+1} - B^{k+1-d}|: the test has the
+    same value on B.  Counting the products in B^d and in the tests, an
+    answer k costs at most (log2 k)^2 / 2 + 4 log2 k + 2 log2 d + 6
+    products of |H| x |H| matrices and holds a fixed number of them,
+    whatever k is.  The returned A^{k+1} is read off the identity row of
+    B^{k+1}, nu^{k+1} on H, with 0.0 outside H.  ``tol`` must be positive
+    and finite and ``max_iter`` at least 1; both are checked before any
+    multiplication.
     """
     import numpy as np
 
@@ -227,23 +250,23 @@ def power_convergence(
     stalled = f"no convergence or stable period within {limit} iterations (tol={tol})"
     if last < first:
         raise ConvergenceError(stalled)
-    af = a.as_float_array()
-    cycle = np.linalg.matrix_power(af, d)
+    g, members = a.group, orbit.subgroup.members
+    weights = np.array([float(x) for x in a.source.weights])
+    block = weights[_block_indices(g, members)]
+    cycle = np.linalg.matrix_power(block, d)
 
-    def passes(power: np.ndarray) -> bool:  # power = A^e
+    def passes(power: np.ndarray) -> bool:  # power = B^e
         return bool(np.max(np.abs(power @ cycle - power)) < tol)
 
-    found = _first_passing(af, np.matmul, passes, first, last)
+    found = _first_passing(block, np.matmul, passes, first, last)
     if found is None:
         raise ConvergenceError(stalled)
     e, power = found
     if d > 1:
         return PowerIterationResult(converged=False, matrix=None, iterations=e + 2 * d - 2, period=d)
-    return PowerIterationResult(
-        converged=True,
-        matrix=tuple(tuple(float(x) for x in row) for row in power @ af),
-        iterations=e,
-    )
+    w = np.zeros(g.order)
+    w[list(members)] = power[members.index(g.identity)] @ block  # nu^(k+1), 0.0 outside H
+    return PowerIterationResult(converged=True, matrix=_matrix_of(g, w.tolist()), iterations=e)
 
 
 @dataclass(frozen=True)
@@ -316,6 +339,9 @@ def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
     Returns the smallest exponent whose power of the k x k 0/1 pattern of
     A on H is entrywise positive, or (False, None) when none is up to the
     Wielandt bound (k-1)^2 + 1 for a k x k nonnegative matrix.  The
+    pattern is the 0/1 mask of ``m.support()`` indexed by the block of
+    quotient indices h_r^{-1} h_c, so float weights at or below
+    FLOAT_SUPPORT_TOL count as zero here as they do in H.  The
     exponent is searched for by ``_first_passing``, whose test must be
     monotone: it is, because the block has no zero column (supp is a
     nonempty subset of H), so A^m > 0 implies A^{m+1} > 0.  Products are
@@ -329,13 +355,11 @@ def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
         raise DomainError("measure has empty support")
     import numpy as np
 
-    h = generated_subgroup(g, supp)
-    members = h.members
+    members = generated_subgroup(g, supp).members
     k = len(members)
-    block = np.array(
-        [[g.cayley[g.inverses[hi]][hj] in supp for hj in members] for hi in members],
-        dtype=np.float32,
-    )
+    mask = np.zeros(g.order, dtype=np.float32)
+    mask[list(supp)] = 1
+    block = mask[_block_indices(g, members)]
 
     def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         product = p @ q

@@ -117,6 +117,14 @@ def test_generated_subgroup_is_idempotent_and_lagrange(small_pool):
             assert cd.is_subgroup(group, h.members)
 
 
+def test_subgroup_equality_does_not_depend_on_the_generating_set():
+    z12 = cd.cyclic_group(12)
+    h = cd.generated_subgroup(z12, {2})
+    assert h == cd.generated_subgroup(z12, {2, 4}) == cd.generated_subgroup(z12, {10, 0})
+    assert hash(h) == hash(cd.generated_subgroup(z12, {2, 4}))
+    assert h != cd.generated_subgroup(z12, {4})
+
+
 def test_generated_subgroup_rejects_empty_gens(z3):
     with pytest.raises(DomainError):
         cd.generated_subgroup(z3, set())

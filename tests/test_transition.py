@@ -286,6 +286,55 @@ def test_power_convergence_rejects_bad_arguments_before_iterating(nu_z3, kwargs)
         cd.power_convergence(cd.transition_matrix(nu_z3), **kwargs)
 
 
+def restricted_to_subgroup(nu: cd.ProbMeasure) -> tuple[cd.ProbMeasure, tuple[int, ...]]:
+    """nu as a measure on H = <supp nu> made a group of its own from H's
+    Cayley table, with H's members in the order of the new indices."""
+    g = nu.group
+    members = cd.generated_subgroup(g, nu.support()).members
+    position = {h: r for r, h in enumerate(members)}
+    sub = cd.group_from_table([[position[g.cayley[a][b]] for b in members] for a in members])
+    return cd.ProbMeasure(sub, tuple(nu.weights[h] for h in members)), members
+
+
+def test_power_convergence_on_g_equals_power_convergence_on_h():
+    # A is block-diagonal over the cosets of H with every block equal to
+    # the matrix of nu on H, so the search on G and on H alone agree
+    rng = random.Random(83)
+    groups = (
+        cd.symmetric_group(4), cd.symmetric_group(5), cd.dihedral_group(6), cd.cyclic_group(12),
+        cd.product_group(cd.cyclic_group(4), cd.cyclic_group(6)),
+    )
+    periods = set()
+    for group in groups:
+        cases = 0
+        while cases < 15:
+            support = rng.sample(range(group.order), rng.randint(1, 3))
+            if cd.generated_subgroup(group, support).order == group.order:
+                continue
+            cases += 1
+            nu = random_exact_measure(rng, group, support=support)
+            nu_h, members = restricted_to_subgroup(nu)
+            on_g, on_h = cd.power_convergence(cd.transition_matrix(nu)), cd.power_convergence(cd.transition_matrix(nu_h))
+            assert (on_g.converged, on_g.iterations, on_g.period) == (on_h.converged, on_h.iterations, on_h.period)
+            if on_g.converged:
+                on_g_h = np.array(on_g.matrix)[np.ix_(members, members)]
+                assert np.max(np.abs(on_g_h - np.array(on_h.matrix))) < 1e-12
+            periods.add(on_g.period or 1)
+    assert periods > {1, 2}  # converging cases, period 2 and longer periods all occur
+
+
+def test_weights_at_or_below_the_support_tolerance_are_outside_h(z4):
+    # 1e-15 <= FLOAT_SUPPORT_TOL: the identity is not in the support, so
+    # the +-1 walk keeps period 2 and its pattern is not primitive
+    assert cd.is_primitive_restricted(cd.ProbMeasure(z4, (1e-15, 0.5, 0.0, 0.5))) == (False, None)
+    # H = {0, 2}: the residue on 1 is not in A's powers, whose entries
+    # between the cosets {0, 2} and {1, 3} are exactly 0
+    nu = cd.ProbMeasure(z4, (0.5, 1e-15, 0.5 - 1e-15, 0.0))
+    result = cd.power_convergence(cd.transition_matrix(nu))
+    assert result.converged and result.iterations == 1
+    assert all(result.matrix[i][j] == 0.0 for i in range(4) for j in range(4) if (i - j) % 2)
+
+
 def test_power_convergence_order6_checkerboard(g6):
     nu = nu_g6(g6, F(1, 2))
     result = cd.power_convergence(cd.transition_matrix(nu))
