@@ -172,7 +172,8 @@ def _first_passing(base, mul, passes, first: int, last: int):
 
     Powers are products under ``mul``, and ``passes`` must be monotone:
     once it holds at e it holds at every larger e.  So the first passing e
-    can be searched for.  The search computes base^first (first = 1 or 2)
+    can be searched for; ``power_convergence`` searches float blocks this
+    way.  The search computes base^first (first = 1 or 2)
     and doubles e by squaring until the test passes or e reaches ``last``;
     below the passing e it builds the largest failing exponent bit by bit
     from the top, recomputing each square base^(2^j) from base by
@@ -334,36 +335,17 @@ def verify_block_structure(m: ProbMeasure) -> BlockStructureReport:
 
 
 def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
-    """Primitivity of the restriction of A to H = <supp>.
+    """Primitivity of the restriction of A to H = <supp>, read off the
+    support orbit.
 
-    Returns the smallest exponent whose power of the k x k 0/1 pattern of
-    A on H is entrywise positive, or (False, None) when none is up to the
-    Wielandt bound (k-1)^2 + 1 for a k x k nonnegative matrix.  The
-    pattern is the 0/1 mask of ``m.support()`` indexed by the block of
-    quotient indices h_r^{-1} h_c, so float weights at or below
-    FLOAT_SUPPORT_TOL count as zero here as they do in H.  The
-    exponent is searched for by ``_first_passing``, whose test must be
-    monotone: it is, because the block has no zero column (supp is a
-    nonempty subset of H), so A^m > 0 implies A^{m+1} > 0.  Products are
-    thresholded back to 0/1, (P Q > 0), in float32; that is exact, since
-    each product entry is an integer at most k <= MAX_GROUP_ORDER = 5040 <
-    2^24.
+    Entry (r, c) of the e-th power of the 0/1 pattern of A on H is
+    positive exactly when h_r^{-1} h_c lies in S^e, S = ``m.support()``.
+    So the pattern is primitive exactly when some S^e = H, and its
+    exponent is the first such e: ``support_orbit``'s ``acyclic`` and
+    ``witness``, found in at most |H| set products.  Float weights at or
+    below FLOAT_SUPPORT_TOL are outside S, as they are outside H.
     """
-    g = m.group
-    supp = m.support()
-    if not supp:
+    if not m.support():
         raise DomainError("measure has empty support")
-    import numpy as np
-
-    members = generated_subgroup(g, supp).members
-    k = len(members)
-    mask = np.zeros(g.order, dtype=np.float32)
-    mask[list(supp)] = 1
-    block = mask[_block_indices(g, members)]
-
-    def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        product = p @ q
-        return np.greater(product, 0, out=product)
-
-    found = _first_passing(block, mul, np.ndarray.all, 1, (k - 1) ** 2 + 1)
-    return (False, None) if found is None else (True, found[0])
+    orbit = support_orbit(m)
+    return orbit.acyclic, orbit.witness

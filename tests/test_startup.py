@@ -95,3 +95,11 @@ VERBS = [
 def test_each_verb_loads_only_the_modules_it_runs(argv, modules, numpy):
     code = "import sys; from convdyn import cli; assert cli.main(sys.argv[1:]) == 0; " + LOADED
     assert _fresh(code, *argv) == [modules, numpy]
+
+
+def test_primitivity_loads_no_numpy():
+    code = (
+        "import convdyn as cd; g = cd.cyclic_group(3)\n"
+        "assert cd.is_primitive_restricted(cd.ProbMeasure.uniform(g, {0, 1})) == (True, 2)\n" + LOADED
+    )
+    assert _fresh(code)[1] is False

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -426,9 +427,10 @@ def test_primitivity_examples(g6, z4):
 
 
 def linear_primitivity(nu: cd.ProbMeasure) -> tuple[bool, int | None]:
-    """Reference: power the 0/1 pattern of A on H = <supp> one product per
+    """Matrix-side reference for the lemma that ``is_primitive_restricted``
+    states: power the 0/1 pattern of A on H = <supp> one product per
     exponent up to the Wielandt bound (k-1)^2 + 1 and return the first
-    entrywise positive exponent, as ``is_primitive_restricted`` documents."""
+    entrywise positive exponent."""
     g = nu.group
     supp = nu.support()
     members = cd.generated_subgroup(g, supp).members
@@ -445,25 +447,57 @@ def linear_primitivity(nu: cd.ProbMeasure) -> tuple[bool, int | None]:
     return False, None
 
 
+def kawada_ito_subgroup(nu: cd.ProbMeasure) -> frozenset[int]:
+    """N0, the normal closure in H = <supp> of {s t^-1 : s, t in supp}.
+
+    The subgroup generated by the quotients is closed under conjugation by
+    the support elements until it is stable; a finite subgroup stable
+    under conjugation by each generator of H is normal in H.
+    """
+    g, supp = nu.group, nu.support()
+    mul, inv = g.cayley, g.inverses
+    gens = {mul[s][inv[t]] for s in supp for t in supp}
+    while True:
+        members = cd.generated_subgroup(g, gens).member_set()
+        conjugates = {mul[mul[s][x]][inv[s]] for s in supp for x in members}
+        if conjugates <= members:
+            return members
+        gens = members | conjugates
+
+
+def exhaustive_small_supports():
+    """c07's inputs: uniform measures on every support of size 1-4 in the
+    groups of orders 1-8, Z_2 x Z_3, D_4 and S_3."""
+    groups = [cd.cyclic_group(n) for n in range(1, 9)]
+    groups += [cd.product_group(cd.cyclic_group(2), cd.cyclic_group(3)), cd.dihedral_group(4), cd.symmetric_group(3)]
+    for group in groups:
+        for size in range(1, min(4, group.order) + 1):
+            for support in itertools.combinations(range(group.order), size):
+                yield cd.ProbMeasure.uniform(group, support)
+
+
 def test_primitivity_matches_linear_search():
     groups = [cd.cyclic_group(n) for n in range(1, 25)] + [cd.dihedral_group(n) for n in range(2, 11)]
     groups += [cd.symmetric_group(3), cd.symmetric_group(4), cd.product_group(cd.cyclic_group(2), cd.cyclic_group(6))]
     rng = random.Random(79)
+    sampled = [
+        cd.ProbMeasure.uniform(group, rng.sample(range(group.order), rng.randint(1, min(5, group.order))))
+        for group in groups
+        for _ in range(20)
+    ]
     exponents, non_primitive = set(), 0
-    for group in groups:
-        for _ in range(20):
-            support = rng.sample(range(group.order), rng.randint(1, min(5, group.order)))
-            nu = cd.ProbMeasure.uniform(group, support)
-            expected = linear_primitivity(nu)
-            assert cd.is_primitive_restricted(nu) == expected, (group.labels, support)
-            exponents.add(expected[1])
-            non_primitive += not expected[0]
+    for nu in itertools.chain(sampled, exhaustive_small_supports()):
+        expected = linear_primitivity(nu)
+        assert cd.is_primitive_restricted(nu) == expected, (nu.group.labels, nu.support())
+        exponents.add(expected[1])
+        non_primitive += not expected[0]
     assert non_primitive > 100
     assert max(e for e in exponents if e) > 8  # answers past the first squarings
 
 
 def test_primitivity_rejects_period_two_walk_on_z120():
-    # (k-1)^2 + 1 = 14,162 products one at a time; the search stops after 14
+    # the support orbit alternates between the odd and the even residues,
+    # so no power of the pattern on H = Z_120 is positive
     z120 = cd.cyclic_group(120)
     assert cd.is_primitive_restricted(cd.ProbMeasure.uniform(z120, {1, 119})) == (False, None)
 
@@ -473,7 +507,33 @@ def test_primitivity_iff_acyclic_small_random(small_pool):
     for group in small_pool:
         for _ in range(8):
             nu = random_exact_measure(rng, group)
-            assert cd.is_acyclic(nu) == cd.is_primitive_restricted(nu)[0]
+            assert cd.is_acyclic(nu) == linear_primitivity(nu)[0]
+
+
+def test_support_orbit_cycles_through_the_cosets_of_the_kawada_ito_subgroup():
+    rng = random.Random(89)
+    groups = (
+        cd.dihedral_group(6), cd.symmetric_group(4), cd.cyclic_group(12),
+        cd.product_group(cd.cyclic_group(2), cd.symmetric_group(3)),
+    )
+    sampled = [
+        cd.ProbMeasure.uniform(group, rng.sample(range(group.order), rng.randint(1, 4)))
+        for group in groups
+        for _ in range(150)
+    ]
+    checked = non_acyclic = 0
+    for nu in itertools.chain(exhaustive_small_supports(), sampled):
+        n0, so = kawada_ito_subgroup(nu), cd.support_orbit(nu)
+        assert so.subgroup.order == so.period * len(n0)
+        if not so.acyclic:
+            # the subgroup that accumulation_points certifies
+            assert so.cycle_sets[-(so.pre_period + 1) % so.period] == n0
+            non_acyclic += 1
+        for cycle_set in so.cycle_sets:
+            x = min(cycle_set)
+            assert cycle_set == {nu.group.cayley[x][n] for n in n0}
+        checked += 1
+    assert checked == 1246 and non_acyclic > 300
 
 
 def test_relabeling_invariance_of_convolution(s3):
