@@ -138,6 +138,8 @@ def cmd_validate(args):
     group = None
     if args.group is None:
         raise ParseError("validate requires --group")
+    if args.measure and len(args.measure) > 1:
+        raise ParseError(f"validate takes at most one --measure, got {len(args.measure)}")
     obj, _ = serialize.resolve_source(args.group, os.getcwd())
     if isinstance(obj, dict) and obj.get("family") == "table":
         raw = obj.get("cayley")
@@ -310,6 +312,8 @@ def cmd_perturb(args):
 
 
 def cmd_pushforward(args):
+    if args.group is not None:
+        raise ParseError("pushforward takes its groups from --hom, not --group")
     hom = serialize.load_hom(args.hom)
     if not args.measure or len(args.measure) != 1:
         raise ParseError("pushforward requires exactly one --measure")

@@ -15,8 +15,8 @@ powers, and certified by exact checks; no float iteration is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import scalars
 from .errors import (
@@ -71,8 +71,7 @@ def limit_of_powers(nu: ProbMeasure) -> ProbMeasure:
     return _uniform_in_mode(nu, so.subgroup.members)
 
 
-@dataclass(frozen=True)
-class OmegaLimitReport:
+class OmegaLimitReport(NamedTuple):
     """Accumulation points of an orbit.
 
     Acyclic driving measure: a single point and period 1.  Otherwise one
@@ -136,8 +135,7 @@ def accumulation_points(nu: ProbMeasure) -> OmegaLimitReport:
     )
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
+class FixedPointSet(NamedTuple):
     """Solutions of the Choquet-Deny equation convolve(mu, nu) = mu.
 
     The solution set is the convex hull of the uniform measures on the
@@ -183,8 +181,7 @@ def is_recurrent(nu: ProbMeasure, mu: ProbMeasure) -> bool:
     return scalars.equal(l1_distance(image, mu), 0)
 
 
-@dataclass(frozen=True)
-class BasinDescription:
+class BasinDescription(NamedTuple):
     """The basin of attraction of a limit measure eta.
 
     A measure converges to eta exactly when its mass on each left coset
@@ -283,8 +280,7 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
     return ProbMeasure(nu.group, tuple(weights))
 
 
-@dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(NamedTuple):
     """Whether nu has full support, and if so whether the generic picture
     holds: H = G, acyclicity, a unique fixed point (uniform on G), and
     every orbit limit uniform."""

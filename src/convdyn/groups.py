@@ -23,8 +23,8 @@ import math
 import struct
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from operator import eq, itemgetter
+from typing import NamedTuple
 
 try:  # hashlib's own blake2b; importing hashlib loads OpenSSL, about 4 ms of every CLI start
     from _blake2 import blake2b
@@ -55,8 +55,7 @@ def _check_order(n: int) -> None:
         raise DomainError(f"group order {n} exceeds cap {MAX_GROUP_ORDER} (MAX_GROUP_ORDER)")
 
 
-@dataclass(frozen=True)
-class GroupViolation:
+class GroupViolation(NamedTuple):
     """One violated group axiom with a concrete witness."""
 
     axiom: str  # "shape" | "latin-square" | "associativity" | "identity" | "inverse"
@@ -198,8 +197,50 @@ def _light_associative(rows, identity: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types that check their fields on construction.
+
+    ``__init__`` stores each of ``_fields`` (and any derived slot) once,
+    through ``object.__setattr__``; assigning or deleting an attribute
+    afterwards raises ``AttributeError``.  Two values are equal when they
+    have the same class and equal ``_fields``, which also give the hash,
+    the repr and the arguments that pickling and ``copy`` rebuild the
+    value from.  A plain ``__slots__`` class, unlike a dataclass, needs no
+    ``dataclasses`` import, which costs every CLI process several ms.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class FiniteGroup(_Frozen):
     """A finite group: labels, dense Cayley table, identity and inverse tables.
 
     ``cayley`` is a tuple of n rows, each an ``array('H')`` of n indices:
@@ -215,17 +256,14 @@ class FiniteGroup:
     ``hash``.
     """
 
-    labels: tuple[str, ...]
-    cayley: tuple[array, ...]
-    identity: int
-    inverses: tuple[int, ...]
-    _digest: bytes = field(init=False, repr=False)
+    __slots__ = ("labels", "cayley", "identity", "inverses", "_digest")
+    _fields = ("labels", "cayley", "identity", "inverses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        object.__setattr__(self, "inverses", tuple(self.inverses))
-        rows = tuple(self.cayley)
-        n = len(self.labels)
+    def __init__(self, labels, cayley, identity: int, inverses):
+        labels = tuple(str(x) for x in labels)
+        inverses = tuple(inverses)
+        rows = tuple(cayley)
+        n = len(labels)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise GroupStructureError(f"Cayley table shape does not match {n} labels")
         if not all(type(r) is array and r.typecode == "H" for r in rows):
@@ -233,15 +271,18 @@ class FiniteGroup:
                 rows = tuple(map(_row_writer(n), rows))
             except struct.error:
                 raise GroupStructureError("Cayley table entries must be integers in 0..65535") from None
-        object.__setattr__(self, "cayley", rows)
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise GroupStructureError("labels must be distinct")
-        if len(self.inverses) != n or not 0 <= self.identity < n:
+        if len(inverses) != n or not 0 <= identity < n:
             raise GroupStructureError("identity/inverse tables do not match the order")
-        digest = blake2b(repr((self.labels, self.identity, self.inverses)).encode())
+        digest = blake2b(repr((labels, identity, inverses)).encode())
         for row in rows:
             digest.update(row)
-        object.__setattr__(self, "_digest", digest.digest())
+        _set(self, "labels", labels)
+        _set(self, "cayley", rows)
+        _set(self, "identity", identity)
+        _set(self, "inverses", inverses)
+        _set(self, "_digest", digest.digest())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -437,17 +478,17 @@ def element_order(g: FiniteGroup, i: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Frozen):
     """A subgroup of ``parent`` as a sorted member tuple."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    _member_set: frozenset[int] = field(repr=False, compare=False, default=frozenset())
+    __slots__ = ("parent", "members", "_member_set")
+    _fields = ("parent", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    def __init__(self, parent: FiniteGroup, members):
+        members = tuple(sorted(members))
+        _set(self, "parent", parent)
+        _set(self, "members", members)
+        _set(self, "_member_set", frozenset(members))
 
     @property
     def order(self) -> int:
@@ -496,8 +537,7 @@ def is_subgroup(g: FiniteGroup, members) -> bool:
     return all(g.cayley[a][g.inverses[b]] in mset for a in mset for b in mset)
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(NamedTuple):
     """Left cosets of a subgroup, with a relabeling that lists them in order.
 
     ``blocks[m]`` is the sorted index set ``representatives[m] * H``; the
@@ -543,8 +583,7 @@ def coset_decomposition(g: FiniteGroup, h: Subgroup) -> CosetDecomposition:
     return CosetDecomposition(h, tuple(representatives), tuple(blocks), tuple(relabeling))
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     """A verified homomorphism: map[i] is the image index of g_i."""
 
     source: FiniteGroup

@@ -12,9 +12,8 @@ matrix of ``nu`` (see :mod:`convdyn.transition`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import scalars
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     NotAcyclicError,
     VerificationError,
 )
-from .groups import FiniteGroup, GroupHom, Subgroup, generated_subgroup
+from .groups import FiniteGroup, GroupHom, Subgroup, _Frozen, _set, generated_subgroup
 from .scalars import EXACT, FLOAT, Scalar
 
 FLOAT_SUPPORT_TOL = 1e-14
@@ -41,23 +40,27 @@ def _require_same_mode(a, b) -> None:
         raise ModeMismatchError(f"cannot mix {a.mode} and {b.mode} values")
 
 
-@dataclass(frozen=True)
-class ProbMeasure:
+class ProbMeasure(_Frozen):
     """A probability measure: weights[i] is the mass at g_i.
 
     Exact mode stores Fractions and requires the mass to be exactly 1;
     float mode tolerates |mass - 1| <= scalars.FLOAT_TOL.  Negative
-    entries are rejected in both modes.  ``mode`` is decided once, here.
+    entries are rejected in both modes.  ``mode`` is decided once, here,
+    and stays out of equality, hash and repr.
     """
 
-    group: FiniteGroup
-    weights: tuple[Scalar, ...]
-    mode: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("group", "weights", "mode")
+    _fields = ("group", "weights")
+
+    def __init__(self, group: FiniteGroup, weights):
+        _set(self, "group", group)
+        _set(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self):
         ws, mode = scalars.normalize(self.weights)  # raises ModeMismatchError on mixtures
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "mode", mode)
+        _set(self, "weights", ws)
+        _set(self, "mode", mode)
         if len(ws) != self.group.order:
             raise InvalidMeasureError(
                 f"{len(ws)} weights for a group of order {self.group.order}"
@@ -114,20 +117,19 @@ class ProbMeasure:
         return self.weights[i]
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(_Frozen):
     """A real function on the group as the vector (f(g_0), ..., f(g_{n-1}))."""
 
-    group: FiniteGroup
-    values: tuple[Scalar, ...]
-    mode: str = field(init=False, compare=False, repr=False)
+    __slots__ = ("group", "values", "mode")
+    _fields = ("group", "values")
 
-    def __post_init__(self):
-        vals, mode = scalars.normalize(self.values)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mode", mode)
-        if len(vals) != self.group.order:
-            raise DomainError(f"{len(vals)} values for a group of order {self.group.order}")
+    def __init__(self, group: FiniteGroup, values):
+        vals, mode = scalars.normalize(values)
+        if len(vals) != group.order:
+            raise DomainError(f"{len(vals)} values for a group of order {group.order}")
+        _set(self, "group", group)
+        _set(self, "values", vals)
+        _set(self, "mode", mode)
 
     @classmethod
     def constant(cls, group: FiniteGroup, value: Scalar = Fraction(1)) -> "TestFunction":
@@ -219,8 +221,7 @@ def set_product(g: FiniteGroup, left: Iterable[int], right: Iterable[int]) -> fr
     return frozenset(g.cayley[a][b] for a in left for b in right)
 
 
-@dataclass(frozen=True)
-class SupportOrbit:
+class SupportOrbit(NamedTuple):
     """The trajectory of support powers S, S*S, S*S*S, ... until it repeats.
 
     ``sets[m]`` is the set of (m+1)-fold products of support elements.

@@ -47,12 +47,12 @@ do not depend on which way i is found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError, DomainError
+from .groups import _Frozen, _set
 from .measures import ProbMeasure, l1_distance
 
 if TYPE_CHECKING:  # numpy is imported only by the functions that use it
@@ -111,27 +111,28 @@ def draw_matrix(seed: int, trials: int, steps: int) -> np.ndarray:
         return mix64(_streams(seed, 0, trials)[:, None] + j[None, :] * np.uint64(GAMMA))
 
 
-@dataclass(frozen=True)
-class WalkConfig:
+class WalkConfig(_Frozen):
     """Configuration for sampling n-step products with i.i.d. steps."""
 
-    measure: ProbMeasure
-    steps: int
-    trials: int
-    seed: int
+    __slots__ = ("measure", "steps", "trials", "seed")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(self, measure: ProbMeasure, steps: int, trials: int, seed: int):
+        if steps < 1:
             raise DomainError("steps must be >= 1")
-        if self.trials < 1:
+        if trials < 1:
             raise DomainError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.steps * self.trials > MC_BUDGET:
+        if steps * trials > MC_BUDGET:
             raise BudgetError(
-                f"{self.trials} trials x {self.steps} steps exceeds the draw "
+                f"{trials} trials x {steps} steps exceeds the draw "
                 f"budget {MC_BUDGET} (MC_BUDGET)"
             )
+        _set(self, "measure", measure)
+        _set(self, "steps", steps)
+        _set(self, "trials", trials)
+        _set(self, "seed", seed)
 
 
 def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:

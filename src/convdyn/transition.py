@@ -14,9 +14,8 @@ H, 0 elsewhere, where H is the subgroup generated by the support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import scalars
 from .errors import BudgetError, ConvergenceError, DomainError
@@ -31,8 +30,7 @@ DEFAULT_BIT_LIMIT = 8_000_000  # ~1 MB of numerator/denominator data per matrix
 DEFAULT_MAX_ITER = 2**20
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """The doubly stochastic matrix representing convolution by ``source``."""
 
     group: FiniteGroup
@@ -150,8 +148,7 @@ def convolution_power(m: ProbMeasure, n: int) -> ProbMeasure:
     return measure_times_matrix(m, matrix_power(a, n - 1))
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
+class PowerIterationResult(NamedTuple):
     """Outcome of float power iteration on a transition matrix.
 
     Either the powers stabilised (``converged`` with the limit matrix) or
@@ -270,8 +267,7 @@ def power_convergence(
     return PowerIterationResult(converged=True, matrix=_matrix_of(g, w.tolist()), iterations=e)
 
 
-@dataclass(frozen=True)
-class LimitMatrix:
+class LimitMatrix(NamedTuple):
     """Closed-form limit of the powers of a transition matrix (acyclic case)."""
 
     group: FiniteGroup
@@ -291,8 +287,7 @@ def limit_matrix_closed_form(m: ProbMeasure) -> LimitMatrix:
     return LimitMatrix(m.group, h, entries, Fraction(1, h.order))
 
 
-@dataclass(frozen=True)
-class BlockStructureReport:
+class BlockStructureReport(NamedTuple):
     """Result of checking the coset block structure of a transition matrix."""
 
     decomposition: CosetDecomposition

@@ -222,6 +222,16 @@ def test_pushforward_command(capsys):
     assert json.loads(out)["weights"] == ["1", "0"]
 
 
+def test_pushforward_refuses_group(capsys):
+    hom = '{"source": {"family": "cyclic", "n": 4}, "target": {"family": "cyclic", "n": 2}, "map": [0, 1, 0, 1]}'
+    for group in ('{"family": "cyclic", "n": 4}', Z3):  # the source group or another: both are refused
+        code, out, err = run_cli(
+            capsys, "pushforward", "--group", group, "--hom", hom, "--measure", '{"weights": ["1/2", "0", "1/2", "0"]}'
+        )
+        assert (code, out) == (2, "")
+        assert err == "error:parse: pushforward takes its groups from --hom, not --group\n"
+
+
 def test_sample_command(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -296,6 +306,17 @@ def test_validate_measure_errors_reported(capsys):
     )
     payload = json.loads(out)
     assert code == 0 and payload["valid"] is False
+
+
+def test_validate_refuses_a_second_measure(capsys):
+    bad = '{"weights": ["2", "0", "0"]}'
+    for measures in ((NU, bad), (bad, NU), (NU, NU)):  # every measure would have to be checked
+        argv = ["validate", "--group", Z3]
+        for m in measures:
+            argv += ["--measure", m]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error:parse: validate takes at most one --measure, got 2\n"
 
 
 def test_parse_error_exit_code(capsys):

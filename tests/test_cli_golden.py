@@ -142,6 +142,8 @@ EDGE_CASES = [
     ("pushforward-two-measures", ["pushforward", "--hom", "hom.json", "--measure", UNIFORM_Z2,
                                   "--measure", UNIFORM_Z2]),
     ("pushforward-wrong-source", ["pushforward", "--hom", "hom.json", "--measure", UNIFORM_Z2]),
+    ("pushforward-with-group", ["pushforward", "--group", Z2, "--hom", "hom.json",
+                                "--measure", NU_Z4_PERIODIC]),
     ("not-a-homomorphism", ["pushforward", "--hom", '{"source": ' + Z4 + ', "target": ' + Z2
                             + ', "map": [0, 1, 1, 0]}', "--measure", NU_Z4_PERIODIC]),
     ("hom-without-map", ["pushforward", "--hom", '{"source": ' + Z4 + ', "target": ' + Z2 + "}",
@@ -152,6 +154,8 @@ EDGE_CASES = [
     ("validate-table-with-measure", ["validate", "--group", Z2_TABLE, "--measure", '{"weights": ["1", "1"]}']),
     ("validate-invalid-group-with-measure", ["validate", "--group", '{"family": "table", "cayley": [[0, 1], [0, 1]]}',
                                              "--measure", UNIFORM_Z2]),
+    ("validate-two-measures", ["validate", "--group", Z3, "--measure", NU_Z3,
+                               "--measure", '{"weights": ["2", "0", "0"]}']),
     ("measure-file-with-group-path", ["limit", "--measure", "nu6.json"]),
     ("table-group-limit", ["limit", "--group", Z2_TABLE, "--measure", '{"weights": ["1/4", "3/4"]}']),
     ("usage-missing-initial", ["omega-limit", "--group", Z3, "--measure", NU_Z3]),

@@ -1,5 +1,8 @@
-"""What a fresh process imports: ``import convdyn`` loads no submodule, and
-each CLI verb loads only the modules it runs."""
+"""What a fresh process imports: ``import convdyn`` loads no submodule,
+each CLI verb loads only the modules it runs, and none loads ``dataclasses``.
+The exact verbs also leave out ``inspect``, which with ``ast``, ``dis`` and
+``tokenize`` takes several ms of a CLI start to import; only numpy brings
+it in."""
 
 from __future__ import annotations
 
@@ -27,10 +30,12 @@ PUBLIC_NAMES = [
     "transition_matrix", "tv_distance", "validate_group", "validate_table", "verify_block_structure",
 ]
 
-# Reports, as the last stdout line, the convdyn modules loaded and whether numpy is.
+# Reports, as the last stdout line, the convdyn modules loaded, whether numpy
+# is, and which of the slow-to-import stdlib modules SLOW are.
+SLOW = ("dataclasses", "inspect")
 LOADED = (
     "import json, sys; print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'convdyn'),"
-    " 'numpy' in sys.modules]))"
+    f" 'numpy' in sys.modules, sorted(set({SLOW!r}) & set(sys.modules))]))"
 )
 
 
@@ -41,7 +46,7 @@ def _fresh(code: str, *argv: str):
 
 
 def test_import_loads_no_submodule():
-    assert _fresh("import convdyn; " + LOADED) == [["convdyn"], False]
+    assert _fresh("import convdyn; " + LOADED) == [["convdyn"], False, []]
 
 
 def test_every_public_name_resolves_to_its_defining_module():
@@ -94,7 +99,7 @@ VERBS = [
 @pytest.mark.parametrize("argv, modules, numpy", VERBS, ids=[v[0][0] for v in VERBS])
 def test_each_verb_loads_only_the_modules_it_runs(argv, modules, numpy):
     code = "import sys; from convdyn import cli; assert cli.main(sys.argv[1:]) == 0; " + LOADED
-    assert _fresh(code, *argv) == [modules, numpy]
+    assert _fresh(code, *argv) == [modules, numpy, ["inspect"] if numpy else []]
 
 
 def test_primitivity_loads_no_numpy():

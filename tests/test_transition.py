@@ -268,6 +268,111 @@ def test_power_convergence_lazy_walk_beyond_linear_reach():
     assert np.max(np.abs(np.array(result.matrix) - 1 / 50)) < 1e-8
 
 
+def fft_power_convergence(weights, shape: tuple[int, ...], tol: float) -> tuple[int, object]:
+    """Reference for ``power_convergence`` on Z_a x Z_b x ... (index
+    a_1 * b + a_2 for Z_a x Z_b, as ``product_group`` lists it) with an
+    acyclic measure, through the Fourier transform: nu^k =
+    ifft(fft(nu)^k), so D(k) = max|A^(k+1) - A^k| = max|nu^(k+1) - nu^k|
+    is max|ifft(f^k (f - 1))| with f = fft(nu).  That needs no products
+    and does not subtract two nearly equal powers.  D falls with k, so
+    the first k with D(k) < tol is found by doubling and bisection.
+    Returns that k and D."""
+    f = np.fft.fftn(np.array(weights, dtype=float).reshape(shape))
+    step = f - 1
+
+    def distance(k: int) -> float:
+        return float(np.max(np.abs(np.fft.ifftn(f**k * step))))
+
+    below, k = 0, 1  # D(below) >= tol, or below = 0
+    while not distance(k) < tol:
+        below, k = k, 2 * k
+    while k - below > 1:
+        mid = (below + k) // 2
+        if distance(mid) < tol:
+            k = mid
+        else:
+            below = mid
+    return k, distance
+
+
+def lazy_walk(shape: tuple[int, ...], p: Fraction, symmetric: bool) -> cd.ProbMeasure:
+    """Stay with probability 1 - p, else step +1 (or +-1 when
+    ``symmetric``) in one coordinate, every move equally likely."""
+    group = cd.cyclic_group(shape[0])
+    for n in shape[1:]:
+        group = cd.product_group(group, cd.cyclic_group(n))
+    strides = [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
+    moves = [s for s, n in zip(strides, shape) for s in ((s, s * (n - 1)) if symmetric else (s,))]
+    weights = [F(0)] * group.order
+    weights[0] = 1 - p
+    for move in moves:
+        weights[move] += p / len(moves)
+    return cd.ProbMeasure(group, tuple(weights))
+
+
+# The comparison rule, stated before running: ``iterations`` equals the
+# Fourier answer k except where D(k) or D(k - 1) lies within a relative
+# FFT_BAND of tol.  On this grid of 336 walks no case fell in that band.
+FFT_BAND = 1e-6
+FFT_WALKS = [
+    (shape, p, symmetric, tol)
+    for shape in [(3,), (5,), (8,), (12,), (17,), (24,), (31,), (50,), (2, 3), (3, 4), (4, 6), (5, 5), (6, 10), (7, 7)]
+    for p in (F(1, 2), F(1, 5), F(1, 20), F(1, 100))
+    for symmetric in (False, True)
+    for tol in (1e-12, 1e-9, 1e-6)
+]
+# power_convergence tests max|B^(k+1) - B^k| < tol on float matrices whose
+# entries are near 1/12, so near tol = 1e-12 the difference of two such
+# entries carries a rounding error of order 2^-53 / 12 = 1e-17, 1e-5 of
+# tol: more than FFT_BAND.
+FFT_OFF_BY_ONE = pytest.mark.xfail(
+    strict=True,
+    reason="power_convergence returns 86; exactly, D(85) = (1 - 8.6e-6) tol, so the answer is 85",
+)
+
+
+def _fft_walk_id(walk) -> str:
+    shape, p, symmetric, tol = walk
+    return f"Z{'xZ'.join(map(str, shape))}-p{p}-{'sym' if symmetric else 'up'}-tol{tol:g}"
+
+
+@pytest.mark.parametrize(
+    "shape, p, symmetric, tol",
+    [pytest.param(*w, marks=FFT_OFF_BY_ONE) if w == ((3, 4), F(1, 2), True, 1e-12) else w for w in FFT_WALKS],
+    ids=map(_fft_walk_id, FFT_WALKS),
+)
+def test_power_convergence_matches_fft_reference(shape, p, symmetric, tol):
+    nu = lazy_walk(shape, p, symmetric)
+    result = cd.power_convergence(cd.transition_matrix(nu.to_float()), tol=tol)
+    k, distance = fft_power_convergence([float(w) for w in nu.weights], shape, tol)
+    boundary = any(abs(distance(j) / tol - 1) <= FFT_BAND for j in (k, k - 1) if j >= 1)
+    assert result.converged and (result.iterations == k or boundary), (result.iterations, k)
+
+
+def test_fft_reference_matches_exact_arithmetic_on_the_off_by_one_walk():
+    # D(k) in exact arithmetic on the walk of FFT_OFF_BY_ONE: its answer is 85
+    nu = lazy_walk((3, 4), F(1, 2), True)
+    powers = [nu]
+    for _ in range(86):
+        powers.append(cd.convolve(powers[-1], nu))  # powers[j] = nu^(j+1)
+    exact = {k: max(map(abs, map(F.__sub__, powers[k].weights, powers[k - 1].weights))) for k in (84, 85, 86)}
+    tol = F(1e-12)
+    assert exact[85] < tol <= exact[84] and abs(exact[85] / tol - 1) > FFT_BAND
+    k, distance = fft_power_convergence([float(w) for w in nu.weights], (3, 4), 1e-12)
+    assert k == 85 and all(abs(distance(j) / float(exact[j]) - 1) < 1e-9 for j in (84, 85, 86))
+
+
+def test_fft_reference_beyond_the_default_max_iter():
+    # lazy walk on Z_50 with p = 1/1000: k = 1,958,536 > DEFAULT_MAX_ITER = 2^20
+    nu = lazy_walk((50,), F(1, 1000), False)
+    k, _ = fft_power_convergence([float(w) for w in nu.weights], (50,), 1e-12)
+    a = cd.transition_matrix(nu.to_float())
+    assert k == 1_958_536 > DEFAULT_MAX_ITER
+    assert cd.power_convergence(a, max_iter=2**21).iterations == k
+    with pytest.raises(ConvergenceError):
+        cd.power_convergence(a)
+
+
 @pytest.mark.parametrize("tol", [1e-12, 0.6, 1.0, 2.0, 1e300])
 def test_power_convergence_reports_period_at_every_finite_tol(z4, tol):
     # successive powers sit on alternating cosets of {0, 2} and differ by 1/2:
