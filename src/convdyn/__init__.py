@@ -64,12 +64,10 @@ _EXPORTS = {
     ),
     "transition": (
         "BlockStructureReport",
-        "LimitMatrix",
         "PowerIterationResult",
         "TransitionMatrix",
         "convolution_power",
         "is_primitive_restricted",
-        "limit_matrix_closed_form",
         "matrix_multiply",
         "matrix_power",
         "measure_times_matrix",

@@ -25,9 +25,8 @@ from .scalars import DEFAULT_POWER_TOL, parse_scalar, scalar_to_json
 
 def _add_common(p: argparse.ArgumentParser, *, measures: int = 1, extra=()):
     p.add_argument("--group", help="group file or inline JSON")
-    if measures >= 1:
-        p.add_argument("--measure", action="append", default=None,
-                       help="measure file or inline JSON" + (" (repeatable)" if measures > 1 else ""))
+    p.add_argument("--measure", action="append", default=None,
+                   help="measure file or inline JSON" + (" (repeatable)" if measures > 1 else ""))
     p.add_argument("--mode", choices=["exact", "float"], default=None,
                    help="arithmetic mode (default exact; power --iterative defaults to float)")
     p.add_argument("--output", choices=["json", "pretty"], default="json")

@@ -9,7 +9,8 @@ Indices are 0-based; labels must be unique strings.
 Measure file:
     {"group": <group object or path string>, "weights": ["1/3", "1/4", ...]}
 Rationals are "num/den" strings, floats plain numbers; a vector may not
-mix the two.
+mix the two.  "group" may be left out when the caller supplies the group;
+when both are given they must be the same group.
 
 Homomorphism file:
     {"source": <group or path>, "target": <group or path>, "map": [int]}
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import ParseError
+from .errors import GroupMismatchError, ParseError
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -34,6 +35,10 @@ from .groups import (
 from .measures import ProbMeasure
 from .scalars import parse_weights, scalar_to_json
 
+# Where the recursion limit is hit depends on the caller's stack, so every
+# place that catches it reports the same line.
+_TOO_DEEP = "input nested too deeply (or a group file that names itself as a factor)"
+
 
 def _read_json(path: str):
     try:
@@ -43,6 +48,8 @@ def _read_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 def resolve_source(source, base_dir: str | None):
@@ -58,6 +65,8 @@ def resolve_source(source, base_dir: str | None):
                 raise ParseError(
                     f"invalid inline JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
                 ) from None
+            except RecursionError:
+                raise ParseError(_TOO_DEEP) from None
         path = source
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
@@ -81,7 +90,10 @@ def group_from_json(obj, base_dir: str | None = None) -> FiniteGroup:
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             raise ParseError("product group requires exactly two 'factors'")
-        return product_group(*(group_from_json(f, base_dir) for f in factors))
+        try:
+            return product_group(*(group_from_json(f, base_dir) for f in factors))
+        except RecursionError:  # a file among its own factors, or factors nested too deeply
+            raise ParseError(_TOO_DEEP) from None
     if family == "table":
         cayley = obj.get("cayley")
         if not isinstance(cayley, list):
@@ -113,10 +125,13 @@ def measure_from_json(obj, group: FiniteGroup | None = None, base_dir: str | Non
     obj, base_dir = resolve_source(obj, base_dir)
     if not isinstance(obj, dict) or "weights" not in obj:
         raise ParseError("measure object must carry a 'weights' key")
-    if group is None:
-        if "group" not in obj:
-            raise ParseError("measure carries no group and none was supplied")
-        group = group_from_json(obj["group"], base_dir)
+    if "group" in obj:
+        named = group_from_json(obj["group"], base_dir)
+        if group is not None and named != group:
+            raise GroupMismatchError("measure names a different group from the one supplied")
+        group = named
+    elif group is None:
+        raise ParseError("measure carries no group and none was supplied")
     weights = parse_weights(obj["weights"])
     return ProbMeasure(group, weights)
 

@@ -8,19 +8,20 @@ which is doubly stochastic by construction, and right multiplication by A
 is convolution with nu: ``convolve(mu, nu) == mu . A``.  Convolution
 powers of nu are therefore rows of powers of A, and the limit of A^m for
 an acyclic nu has the closed form: 1/|H| on pairs whose quotient lies in
-H, 0 elsewhere, where H is the subgroup generated by the support.
+H, 0 elsewhere, where H is the subgroup generated by the support.  That
+is the matrix of the limit measure,
+``transition_matrix(limit_of_powers(nu))``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import scalars
 from .errors import BudgetError, ConvergenceError, DomainError
-from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_decomposition, generated_subgroup
-from .measures import ProbMeasure, _acyclic_orbit, support_orbit
+from .groups import CosetDecomposition, FiniteGroup, coset_decomposition, generated_subgroup
+from .measures import ProbMeasure, support_orbit
 from .scalars import DEFAULT_POWER_TOL, EXACT, Scalar
 
 if TYPE_CHECKING:  # numpy is imported only by the float paths that use it
@@ -265,26 +266,6 @@ def power_convergence(
     w = np.zeros(g.order)
     w[list(members)] = power[members.index(g.identity)] @ block  # nu^(k+1), 0.0 outside H
     return PowerIterationResult(converged=True, matrix=_matrix_of(g, w.tolist()), iterations=e)
-
-
-class LimitMatrix(NamedTuple):
-    """Closed-form limit of the powers of a transition matrix (acyclic case)."""
-
-    group: FiniteGroup
-    subgroup: Subgroup
-    entries: tuple[tuple[Fraction, ...], ...]
-    block_value: Fraction
-
-
-def limit_matrix_closed_form(m: ProbMeasure) -> LimitMatrix:
-    """The limit B with B[i][j] = 1/|H| when g_i^{-1} g_j is in H, else 0."""
-    h = _acyclic_orbit(
-        m,
-        "measure is not acyclic; the powers do not converge "
-        "(use accumulation_points for the oscillating family)",
-    ).subgroup
-    entries = transition_matrix(ProbMeasure.uniform(m.group, h.members)).entries
-    return LimitMatrix(m.group, h, entries, Fraction(1, h.order))
 
 
 class BlockStructureReport(NamedTuple):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -129,3 +130,37 @@ def sweep_pool():
     pool.append(cd.symmetric_group(3))
     pool.append(cd.symmetric_group(4))
     return pool
+
+
+def linear_primitivity(nu: cd.ProbMeasure) -> tuple[bool, int | None]:
+    """Matrix-side reference for the lemma that ``is_primitive_restricted``
+    states: power the 0/1 pattern of A on H = <supp> one product per
+    exponent up to the Wielandt bound (k-1)^2 + 1 and return the first
+    entrywise positive exponent."""
+    import numpy as np
+
+    g = nu.group
+    supp = nu.support()
+    members = cd.generated_subgroup(g, supp).members
+    k = len(members)
+    block = np.array(
+        [[g.cayley[g.inverses[hi]][hj] in supp for hj in members] for hi in members],
+        dtype=np.int64,
+    )
+    power = block
+    for exponent in range(1, (k - 1) ** 2 + 2):
+        if (power > 0).all():
+            return True, exponent
+        power = (power @ block > 0).astype(np.int64)
+    return False, None
+
+
+def exhaustive_small_supports():
+    """c07's inputs: uniform measures on every support of size 1-4 in the
+    groups of orders 1-8, Z_2 x Z_3, D_4 and S_3."""
+    groups = [cd.cyclic_group(n) for n in range(1, 9)]
+    groups += [cd.product_group(cd.cyclic_group(2), cd.cyclic_group(3)), cd.dihedral_group(4), cd.symmetric_group(3)]
+    for group in groups:
+        for size in range(1, min(4, group.order) + 1):
+            for support in itertools.combinations(range(group.order), size):
+                yield cd.ProbMeasure.uniform(group, support)

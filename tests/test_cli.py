@@ -335,6 +335,50 @@ def test_hom_file_that_is_not_an_object_is_a_parse_error(capsys, tmp_path):
     assert err.startswith("error:parse:") and "Traceback" not in err
 
 
+def test_measure_file_naming_another_group_is_a_group_mismatch(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s3.json").write_text('{"family": "symmetric", "n": 3}')
+    (tmp_path / "nu.json").write_text('{"group": "s3.json", "weights": ["1/2", "1/2", "0", "0", "0", "0"]}')
+    z6 = '{"family": "cyclic", "n": 6}'
+    mismatch = "error:group-mismatch: measure names a different group from the one supplied\n"
+    u6 = '{"weights": ["1/6", "1/6", "1/6", "1/6", "1/6", "1/6"]}'
+    for argv in (
+        ["limit", "--group", z6, "--measure", "nu.json"],
+        ["convolve", "--group", z6, "--measure", u6, "--measure", "nu.json"],
+        ["omega-limit", "--group", z6, "--measure", u6, "--initial", "nu.json"],
+        ["basin", "--group", z6, "--measure", u6, "--eta", u6, "--candidate", "nu.json"],
+        ["pushforward", "--hom", '{"source": ' + z6 + ', "target": ' + z6 + ', "map": [0, 1, 2, 3, 4, 5]}',
+         "--measure", "nu.json"],
+    ):
+        assert run_cli(capsys, *argv) == (1, "", mismatch), argv
+    code, out, _ = run_cli(capsys, "validate", "--group", z6, "--measure", "nu.json")
+    assert code == 0 and json.loads(out)["violations"] == [
+        {"axiom": "measure", "witness": [], "detail": "measure names a different group from the one supplied"}
+    ]
+    # the same group, supplied or read from the file, gives the same answer
+    half = {"limit": ["1/2", "1/2", "0", "0", "0", "0"]}
+    for argv in (["limit", "--measure", "nu.json"], ["limit", "--group", "s3.json", "--measure", "nu.json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, json.loads(out)) == (0, "", half)
+
+
+def test_self_referencing_or_deeply_nested_input_is_a_parse_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop.json").write_text('{"family": "product", "factors": ["loop.json", "loop.json"]}')
+    deep = '{"family": "table", "cayley": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    (tmp_path / "deep.json").write_text(deep)
+    too_deep = "error:parse: input nested too deeply (or a group file that names itself as a factor)\n"
+    for argv in (
+        ["validate", "--group", "loop.json"],
+        ["limit", "--group", "loop.json", "--measure", NU],
+        ["limit", "--group", Z3, "--measure", '{"group": "loop.json", "weights": ["1"]}'],
+        ["validate", "--group", deep],
+        ["validate", "--group", "deep.json"],
+        ["limit", "--group", Z3, "--measure", '{"weights": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ):
+        assert run_cli(capsys, *argv) == (2, "", too_deep), argv[:3]
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys,

@@ -40,6 +40,7 @@ FILES = {
         "target": {"family": "cyclic", "n": 2},
         "map": [0, 1, 0, 1],
     },
+    "loop.json": {"family": "product", "factors": ["loop.json", "loop.json"]},
 }
 BROKEN_FILE = ("broken.json", '{"weights": ["1/2",')
 
@@ -99,7 +100,8 @@ NON_ACYCLIC = [
 ]
 
 # Malformed input, domain errors and a few input forms: a measure file that
-# names its group by path, a table group, an invalid table for validate.
+# names its group by path (and another group than --group's), a group file
+# among its own factors, a table group, an invalid table for validate.
 EDGE_CASES = [
     ("missing-group-file", ["limit", "--group", "missing.json", "--measure", NU_Z3]),
     ("missing-measure-file", ["limit", "--group", Z3, "--measure", "missing.json"]),
@@ -157,6 +159,8 @@ EDGE_CASES = [
     ("validate-two-measures", ["validate", "--group", Z3, "--measure", NU_Z3,
                                "--measure", '{"weights": ["2", "0", "0"]}']),
     ("measure-file-with-group-path", ["limit", "--measure", "nu6.json"]),
+    ("measure-file-with-other-group", ["limit", "--group", '{"family": "cyclic", "n": 6}', "--measure", "nu6.json"]),
+    ("self-referencing-group-file", ["validate", "--group", "loop.json"]),
     ("table-group-limit", ["limit", "--group", Z2_TABLE, "--measure", '{"weights": ["1/4", "3/4"]}']),
     ("usage-missing-initial", ["omega-limit", "--group", Z3, "--measure", NU_Z3]),
 ]

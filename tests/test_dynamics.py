@@ -124,13 +124,8 @@ _NOT_ACYCLIC_POWERS = "powers of a non-acyclic measure do not converge; use accu
         (cd.is_recurrent, _NOT_ACYCLIC_POWERS),
         (cd.basin, "basins are defined for acyclic driving measures"),
         (lambda nu, mu: cd.same_omega_limit(nu, mu, mu), "omega limits compare only for acyclic driving measures"),
-        (
-            lambda nu, mu: cd.limit_matrix_closed_form(nu),
-            "measure is not acyclic; the powers do not converge "
-            "(use accumulation_points for the oscillating family)",
-        ),
     ],
-    ids=["limit_of_powers", "omega_limit", "is_recurrent", "basin", "same_omega_limit", "limit_matrix_closed_form"],
+    ids=["limit_of_powers", "omega_limit", "is_recurrent", "basin", "same_omega_limit"],
 )
 def test_non_acyclic_driving_measure_is_rejected(z2, call, message):
     nu = cd.ProbMeasure.point_mass(z2, 1)  # support powers alternate between {1} and {0}
@@ -219,13 +214,30 @@ def test_limits_equal_uniform_measures_coerced_to_mode(mode):
     assert non_acyclic >= 10
 
 
+def rational_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a matrix of Fractions by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c] / top[c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 def test_coset_certificates_agree_with_elimination_and_float_powers():
     """Reference cross-checks for the exact certificates: the fixed-point
-    dimension against the rational null space of (A - I)^T, and each
-    accumulation point against a float power far along its subsequence."""
+    dimension against the rational null space of (A - I)^T, whose
+    dimension is n minus its rank, and each accumulation point against a
+    float power far along its subsequence."""
     import numpy as np
-
-    from convdyn.rational_linalg import nullspace
 
     rng = random.Random(2013)
     groups = [
@@ -241,7 +253,7 @@ def test_coset_certificates_agree_with_elimination_and_float_powers():
             nu = random_exact_measure(rng, g, support=rng.sample(range(n), rng.randint(1, 3)))
             a = cd.transition_matrix(nu).entries
             system = [[a[i][j] - (i == j) for i in range(n)] for j in range(n)]
-            assert cd.fixed_points(nu).dimension + 1 == len(nullspace(system))
+            assert cd.fixed_points(nu).dimension + 1 == n - rational_rank(system)
             so = cd.support_orbit(nu)
             if so.acyclic:
                 continue
@@ -683,5 +695,5 @@ def test_limit_of_powers_agrees_with_float_orbit_and_matrix(g6):
     final = states[-1]
     assert max(abs(w - float(x)) for w, x in zip(final.weights, exact.weights)) < 1e-10
     # and exactly nu times the closed-form limit matrix
-    b = cd.limit_matrix_closed_form(nu)
-    assert cd.measure_times_matrix(nu, b.entries).weights == exact.weights
+    b = cd.transition_matrix(exact).entries
+    assert cd.measure_times_matrix(nu, b).weights == exact.weights

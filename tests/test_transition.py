@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import convdyn as cd
 from convdyn.errors import BudgetError, ConvergenceError, DomainError
 from convdyn.transition import DEFAULT_MAX_ITER
-from conftest import brute_convolve, nu_g6, random_exact_measure
+from conftest import brute_convolve, exhaustive_small_supports, linear_primitivity, nu_g6, random_exact_measure
 
 F = Fraction
 
@@ -445,34 +445,33 @@ def test_power_convergence_order6_checkerboard(g6):
     nu = nu_g6(g6, F(1, 2))
     result = cd.power_convergence(cd.transition_matrix(nu))
     assert result.converged
-    b = cd.limit_matrix_closed_form(nu).entries
+    b = cd.transition_matrix(cd.limit_of_powers(nu)).entries
     for i in range(6):
         for j in range(6):
             assert abs(result.matrix[i][j] - float(b[i][j])) < 1e-11
 
 
-def test_limit_matrix_closed_form_order6(g6):
+def test_limit_of_powers_matrix_order6(g6):
     nu = nu_g6(g6, F(1, 2))
-    b = cd.limit_matrix_closed_form(nu)
+    b = cd.transition_matrix(cd.limit_of_powers(nu)).entries
     third = F(1, 3)
     expected = tuple(
         tuple(third if (i + j) % 2 == 0 else F(0) for j in range(6)) for i in range(6)
     )
-    assert b.entries == expected
-    assert b.block_value == third
+    assert b == expected
 
 
-def test_limit_matrix_closed_form_z3(nu_z3):
-    b = cd.limit_matrix_closed_form(nu_z3)
-    assert all(x == F(1, 3) for row in b.entries for x in row)
+def test_limit_of_powers_matrix_z3(nu_z3):
+    b = cd.transition_matrix(cd.limit_of_powers(nu_z3)).entries
+    assert all(x == F(1, 3) for row in b for x in row)
 
 
 def test_limit_matrix_of_identity_point_mass(s3):
     delta = cd.ProbMeasure.point_mass(s3, s3.identity)
-    b = cd.limit_matrix_closed_form(delta)
+    b = cd.transition_matrix(cd.limit_of_powers(delta)).entries
     for i in range(6):
         for j in range(6):
-            assert b.entries[i][j] == (1 if i == j else 0)
+            assert b[i][j] == (1 if i == j else 0)
 
 
 def test_limit_matrix_is_idempotent_and_doubly_stochastic(small_pool):
@@ -481,7 +480,7 @@ def test_limit_matrix_is_idempotent_and_doubly_stochastic(small_pool):
         nu = random_exact_measure(rng, group)
         if not cd.is_acyclic(nu):
             continue
-        b = cd.limit_matrix_closed_form(nu).entries
+        b = cd.transition_matrix(cd.limit_of_powers(nu)).entries
         assert cd.matrix_multiply(b, b) == b
         for row in b:
             assert sum(row) == 1
@@ -531,27 +530,6 @@ def test_primitivity_examples(g6, z4):
     assert cd.is_primitive_restricted(full) == (True, 1)
 
 
-def linear_primitivity(nu: cd.ProbMeasure) -> tuple[bool, int | None]:
-    """Matrix-side reference for the lemma that ``is_primitive_restricted``
-    states: power the 0/1 pattern of A on H = <supp> one product per
-    exponent up to the Wielandt bound (k-1)^2 + 1 and return the first
-    entrywise positive exponent."""
-    g = nu.group
-    supp = nu.support()
-    members = cd.generated_subgroup(g, supp).members
-    k = len(members)
-    block = np.array(
-        [[g.cayley[g.inverses[hi]][hj] in supp for hj in members] for hi in members],
-        dtype=np.int64,
-    )
-    power = block
-    for exponent in range(1, (k - 1) ** 2 + 2):
-        if (power > 0).all():
-            return True, exponent
-        power = (power @ block > 0).astype(np.int64)
-    return False, None
-
-
 def kawada_ito_subgroup(nu: cd.ProbMeasure) -> frozenset[int]:
     """N0, the normal closure in H = <supp> of {s t^-1 : s, t in supp}.
 
@@ -570,17 +548,6 @@ def kawada_ito_subgroup(nu: cd.ProbMeasure) -> frozenset[int]:
         gens = members | conjugates
 
 
-def exhaustive_small_supports():
-    """c07's inputs: uniform measures on every support of size 1-4 in the
-    groups of orders 1-8, Z_2 x Z_3, D_4 and S_3."""
-    groups = [cd.cyclic_group(n) for n in range(1, 9)]
-    groups += [cd.product_group(cd.cyclic_group(2), cd.cyclic_group(3)), cd.dihedral_group(4), cd.symmetric_group(3)]
-    for group in groups:
-        for size in range(1, min(4, group.order) + 1):
-            for support in itertools.combinations(range(group.order), size):
-                yield cd.ProbMeasure.uniform(group, support)
-
-
 def test_primitivity_matches_linear_search():
     groups = [cd.cyclic_group(n) for n in range(1, 25)] + [cd.dihedral_group(n) for n in range(2, 11)]
     groups += [cd.symmetric_group(3), cd.symmetric_group(4), cd.product_group(cd.cyclic_group(2), cd.cyclic_group(6))]
@@ -591,7 +558,7 @@ def test_primitivity_matches_linear_search():
         for _ in range(20)
     ]
     exponents, non_primitive = set(), 0
-    for nu in itertools.chain(sampled, exhaustive_small_supports()):
+    for nu in sampled:  # c07 checks every small support
         expected = linear_primitivity(nu)
         assert cd.is_primitive_restricted(nu) == expected, (nu.group.labels, nu.support())
         exponents.add(expected[1])

@@ -53,7 +53,6 @@ VALUES = {
         lambda: cd.power_convergence(cd.transition_matrix(NU.to_float())),
         ("converged", "matrix", "iterations", "period"),
     ),
-    "LimitMatrix": (lambda: cd.limit_matrix_closed_form(NU), ("group", "subgroup", "entries", "block_value")),
     "BlockStructureReport": (
         lambda: cd.verify_block_structure(NU), ("decomposition", "ok", "violations", "diagonal_block")
     ),
