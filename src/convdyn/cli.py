@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from . import serialize
 from .errors import ConvdynError, DomainError, GroupStructureError, ModeMismatchError, ParseError
@@ -23,77 +24,67 @@ from .scalars import DEFAULT_POWER_TOL, parse_scalar, scalar_to_json
 # call them, so each verb loads only the modules it runs.
 
 
-def _add_common(p: argparse.ArgumentParser, *, measures: int = 1, extra=()):
-    p.add_argument("--group", help="group file or inline JSON")
-    p.add_argument("--measure", action="append", default=None,
-                   help="measure file or inline JSON" + (" (repeatable)" if measures > 1 else ""))
-    p.add_argument("--mode", choices=["exact", "float"], default=None,
-                   help="arithmetic mode (default exact; power --iterative defaults to float)")
-    p.add_argument("--output", choices=["json", "pretty"], default="json")
-    for name, kwargs in extra:
-        p.add_argument(name, **kwargs)
+# verb -> (help, number of --measure arguments, extra arguments)
+_VERBS = {
+    "validate": ("check group axioms (and optionally a measure)", 1, ()),
+    "convolve": ("convolve two measures (first operand on the left)", 2, ()),
+    "transition": ("the doubly stochastic matrix of a measure", 1, ()),
+    "power": ("exact convolution power, or float power iteration", 1, (
+        ("--exponent", dict(type=int, help="power to compute exactly")),
+        ("--iterative", dict(action="store_true", help="iterate matrix powers in floats")),
+        ("--tol", dict(type=float, default=None)),
+        ("--max-iter", dict(type=int, default=None)),
+    )),
+    "check-acyclic": ("support-power orbit and acyclicity", 1, ()),
+    "limit": ("closed-form limit of the convolution powers", 1, ()),
+    "omega-limit": ("limit of the orbit of an initial measure", 1, (
+        ("--initial", dict(required=True, help="initial measure file or inline JSON")),
+    )),
+    "accumulation-points": ("all accumulation points of the power sequence", 1, ()),
+    "fixed-points": ("solutions of the Choquet-Deny equation", 1, ()),
+    "recurrent": ("is the initial measure recurrent under the dynamics", 1, (
+        ("--initial", dict(required=True)),
+    )),
+    "basin": ("basin of attraction of a limit measure", 1, (
+        ("--eta", dict(required=True, help="target limit measure")),
+        ("--candidate", dict(default=None, help="measure to test for membership")),
+    )),
+    "perturb": ("nearby acyclic measure within eps", 1, (
+        ("--eps", dict(required=True, help="distance bound, e.g. 1/10")),
+    )),
+    "pushforward": ("image measure under a homomorphism", 1, (
+        ("--hom", dict(required=True, help="homomorphism file or inline JSON")),
+    )),
+    "sample": ("seeded random-walk check against the exact power", 1, (
+        ("--steps", dict(type=int, default=30)),
+        ("--trials", dict(type=int, default=100000)),
+        ("--seed", dict(type=int, default=0)),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone.  The one-verb parser
+    parses that verb's command lines as the full one does, with the same
+    usage and error text; it shows all verbs in its usage line."""
     parser = argparse.ArgumentParser(
         prog="convdyn",
         description="Convolution powers and dynamics of probability measures on finite groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check group axioms (and optionally a measure)")
-    _add_common(p)
-
-    p = sub.add_parser("convolve", help="convolve two measures (first operand on the left)")
-    _add_common(p, measures=2)
-
-    p = sub.add_parser("transition", help="the doubly stochastic matrix of a measure")
-    _add_common(p)
-
-    p = sub.add_parser("power", help="exact convolution power, or float power iteration")
-    _add_common(p, extra=[
-        ("--exponent", dict(type=int, help="power to compute exactly")),
-        ("--iterative", dict(action="store_true", help="iterate matrix powers in floats")),
-        ("--tol", dict(type=float, default=DEFAULT_POWER_TOL)),
-        ("--max-iter", dict(type=int, default=None)),
-    ])
-
-    p = sub.add_parser("check-acyclic", help="support-power orbit and acyclicity")
-    _add_common(p)
-
-    p = sub.add_parser("limit", help="closed-form limit of the convolution powers")
-    _add_common(p)
-
-    p = sub.add_parser("omega-limit", help="limit of the orbit of an initial measure")
-    _add_common(p, extra=[("--initial", dict(required=True, help="initial measure file or inline JSON"))])
-
-    p = sub.add_parser("accumulation-points", help="all accumulation points of the power sequence")
-    _add_common(p)
-
-    p = sub.add_parser("fixed-points", help="solutions of the Choquet-Deny equation")
-    _add_common(p)
-
-    p = sub.add_parser("recurrent", help="is the initial measure recurrent under the dynamics")
-    _add_common(p, extra=[("--initial", dict(required=True))])
-
-    p = sub.add_parser("basin", help="basin of attraction of a limit measure")
-    _add_common(p, extra=[
-        ("--eta", dict(required=True, help="target limit measure")),
-        ("--candidate", dict(default=None, help="measure to test for membership")),
-    ])
-
-    p = sub.add_parser("perturb", help="nearby acyclic measure within eps")
-    _add_common(p, extra=[("--eps", dict(required=True, help="distance bound, e.g. 1/10"))])
-
-    p = sub.add_parser("pushforward", help="image measure under a homomorphism")
-    _add_common(p, extra=[("--hom", dict(required=True, help="homomorphism file or inline JSON"))])
-
-    p = sub.add_parser("sample", help="seeded random-walk check against the exact power")
-    _add_common(p, extra=[
-        ("--steps", dict(type=int, default=30)),
-        ("--trials", dict(type=int, default=100000)),
-        ("--seed", dict(type=int, default=0)),
-    ])
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, measures, extra) in _VERBS.items():
+        if verb is not None and name != verb:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--group", help="group file or inline JSON")
+        p.add_argument("--measure", action="append", default=None,
+                       help="measure file or inline JSON" + (" (repeatable)" if measures > 1 else ""))
+        p.add_argument("--mode", choices=["exact", "float"], default=None,
+                       help="arithmetic mode (default exact; power --iterative defaults to float)")
+        p.add_argument("--output", choices=["json", "pretty"], default="json")
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -187,9 +178,17 @@ def cmd_transition(args):
 def cmd_power(args):
     from .transition import convolution_power, power_convergence, transition_matrix
 
+    if args.iterative:
+        if args.exponent is not None:
+            raise ParseError("power takes --exponent or --iterative, not both")
+        if args.mode == "exact":
+            raise ModeMismatchError("power --iterative requires --mode float")
+    elif args.tol is not None or args.max_iter is not None:
+        raise ParseError("power takes --tol and --max-iter only with --iterative")
     m = _one_measure(args)
     if args.iterative:
-        result = power_convergence(transition_matrix(m), tol=args.tol, max_iter=args.max_iter)
+        tol = DEFAULT_POWER_TOL if args.tol is None else args.tol
+        result = power_convergence(transition_matrix(m), tol=tol, max_iter=args.max_iter)
         if result.converged:
             return {
                 "converged": True,
@@ -382,11 +381,13 @@ def render_pretty(payload: dict, group) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit status.  Only the named verb's parser is built; a command line
+    that names no verb gets the parser of all of them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in _HANDLERS else None
+    args = build_parser(verb).parse_args(argv)
     try:
-        if args.command == "power" and args.iterative and args.mode == "exact":
-            raise ModeMismatchError("power --iterative requires --mode float")
         payload, group = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
@@ -401,5 +402,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The ``convdyn`` process: :func:`main` on ``sys.argv``, then a flush of
+    stdout and stderr and ``os._exit``, which skips the interpreter's
+    teardown and so runs no ``atexit`` handler.  A stdout closed by its
+    reader gives exit status 1 and no traceback."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            code = exc.code
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

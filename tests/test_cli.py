@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -506,3 +507,127 @@ def test_sample_command_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+ONE_PER_VERB = [
+    ["validate", "--group", Z3, "--measure", NU],
+    ["convolve", "--group", Z3, "--measure", NU, "--measure", NU, "--mode", "float"],
+    ["transition", "--group", Z3, "--measure", NU, "--output", "pretty"],
+    ["power", "--group", Z3, "--measure", NU, "--iterative", "--tol", "1e-9", "--max-iter", "40"],
+    ["check-acyclic", "--measure", NU],
+    ["limit", "--group", Z3, "--measure", NU],
+    ["omega-limit", "--group", Z3, "--measure", NU, "--initial", NU],
+    ["accumulation-points", "--group", Z3, "--measure", NU],
+    ["fixed-points", "--group", Z3, "--measure", NU],
+    ["recurrent", "--group", Z3, "--measure", NU, "--initial", NU],
+    ["basin", "--group", Z3, "--measure", NU, "--eta", NU, "--candidate", NU],
+    ["perturb", "--group", Z3, "--measure", NU, "--eps", "1/10"],
+    ["pushforward", "--hom", "hom.json", "--measure", NU],
+    ["sample", "--group", Z3, "--measure", NU, "--steps", "3", "--trials", "10", "--seed", "4"],
+]
+
+
+def test_one_verb_table_covers_every_handler():
+    assert [argv[0] for argv in ONE_PER_VERB] == list(cli._VERBS) == list(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", ONE_PER_VERB, ids=[argv[0] for argv in ONE_PER_VERB])
+def test_one_verb_parser_parses_as_the_full_parser(argv):
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--help"],
+    ["power", "-h"],
+    ["limit", "--group", Z3, "--bogus"],
+    ["limit", "--group", Z3, "stray"],
+    ["limit", "--group"],
+    ["power", "--exponent", "two"],
+    ["omega-limit", "--group", Z3, "--measure", NU],
+    ["basin", "--mode", "fast", "--eta", NU],
+])
+def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    """Help and usage errors of a command line naming a verb, where main
+    builds only that verb's parser, match the full parser's byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    results = []
+    for parse in (cli.build_parser().parse_args, cli.main):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        results.append((exc.value.code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert "usage: convdyn" in results[0][1] + results[0][2]
+
+
+# The transition matrix of the uniform measure on S_5: 120 rows of "1/120",
+# about 130 KB of JSON, more than a pipe holds.
+S5_TRANSITION = [
+    "transition", "--group", '{"family": "symmetric", "n": 5}',
+    "--measure", json.dumps({"weights": ["1/120"] * 120}),
+]
+
+
+def _child_env(unbuffered: bool) -> dict:
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_process_exit_keeps_all_output(capsys, tmp_path):
+    """The process leaves through os._exit after flushing stdout: with stdout
+    block-buffered, as on a pipe or a file, every byte still arrives."""
+    assert cli.main(S5_TRANSITION) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 1 << 16
+    cmd = [sys.executable, "-m", "convdyn.cli", *S5_TRANSITION]
+    piped = subprocess.run(cmd, capture_output=True, env=_child_env(False), timeout=60)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == expected
+    target = tmp_path / "out.json"
+    with open(target, "wb") as fh:
+        proc = subprocess.run(cmd, stdout=fh, stderr=subprocess.PIPE, env=_child_env(False), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["limit", "--group", Z3, "--measure", NU], 0, "stdout"),
+    (["--help"], 0, "stdout"),
+    (["limit", "--group", '{"family": "cyclic", "n": 2}', "--measure", '{"weights": ["0", "1"]}'], 1, "stderr"),
+    (["power", "--group", Z3, "--measure", NU], 2, "stderr"),
+    (["limit", "--bogus"], 2, "stderr"),
+])
+def test_process_exit_status(argv, code, stream):
+    proc = subprocess.run([sys.executable, "-m", "convdyn.cli", *argv], capture_output=True,
+                          env=_child_env(False), timeout=60)
+    assert proc.returncode == code
+    assert getattr(proc, stream).strip() and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_after_one_byte_is_exit_1_without_traceback(unbuffered):
+    proc = subprocess.Popen([sys.executable, "-m", "convdyn.cli", *S5_TRANSITION], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env(unbuffered))
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_closed_before_the_first_write_is_exit_1_without_traceback(unbuffered):
+    """A short output on a buffered stdout is first written by the final
+    flush; unbuffered, by print.  Either write fails on a pipe with no reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "convdyn.cli", "limit", "--group", Z3, "--measure", NU],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_child_env(unbuffered), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -4,9 +4,11 @@ Every case runs ``convdyn`` in-process from a temporary working directory
 that holds a few input files, and is compared with the exit code, the
 stdout bytes and the last stderr line kept in ``data/cli_golden.json``.
 The cases cover all 14 verbs in exact and float mode with JSON and pretty
-output, a non-acyclic driving measure, and parse, usage and domain
-errors.  The temporary directory's path is written as ``<cwd>`` in the
-stored stderr lines.  Float power-iteration matrices are compared rounded
+output, a non-acyclic driving measure, parse, usage and domain errors, and
+the help and usage text of the parser.  Every case runs with
+``COLUMNS=80``, so the help text does not wrap to the terminal's width.
+The temporary directory's path is written as ``<cwd>`` in the stored
+stderr lines.  Float power-iteration matrices are compared rounded
 to 9 decimals, because BLAS kernels and the order of the products differ
 in the last bits.  Their pretty output pads columns to the width of the
 unrounded values, so for ``--iterative`` cases every run of spaces in
@@ -14,7 +16,9 @@ stdout is compared as one space, on both sides; values, rows and columns
 stay pinned.
 
 Re-record after an intended output change with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``.  Recording keeps every
+stored entry whose compared form is unchanged, so only the cases whose
+output changed are rewritten.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -163,6 +168,19 @@ EDGE_CASES = [
     ("self-referencing-group-file", ["validate", "--group", "loop.json"]),
     ("table-group-limit", ["limit", "--group", Z2_TABLE, "--measure", '{"weights": ["1/4", "3/4"]}']),
     ("usage-missing-initial", ["omega-limit", "--group", Z3, "--measure", NU_Z3]),
+    ("power-exponent-and-iterative", ["power", "--group", Z3, "--measure", NU_Z3, "--exponent", "2", "--iterative"]),
+    ("power-tol-without-iterative", ["power", "--group", Z3, "--measure", NU_Z3, "--exponent", "2", "--tol", "0.5"]),
+    ("power-max-iter-without-iterative", ["power", "--group", Z3, "--measure", NU_Z3, "--exponent", "2",
+                                          "--max-iter", "5"]),
+]
+
+# The parser's own output: help on stdout, usage errors on stderr.
+USAGE = [
+    ("help", ["--help"]),
+    ("limit-help", ["limit", "--help"]),
+    ("power-help", ["power", "--help"]),
+    ("no-verb", []),
+    ("unknown-verb", ["frobnicate", "--group", Z3, "--measure", NU_Z3]),
 ]
 
 
@@ -184,6 +202,7 @@ def _cases() -> list[tuple[str, list[str]]]:
             suffix = f"-{extra[0].lstrip('-')}" if verb == "power" else ""
             cases.append((f"non-acyclic-{verb}{suffix}-{mode or 'default'}", full))
     cases.extend((f"edge-{name}", argv) for name, argv in EDGE_CASES)
+    cases.extend((f"usage-{name}", argv) for name, argv in USAGE)
     return cases
 
 
@@ -207,7 +226,7 @@ def run_case(argv: list[str], cwd: Path) -> dict:
     previous = os.getcwd()
     os.chdir(cwd)
     try:
-        with redirect_stdout(out), redirect_stderr(err):
+        with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
             try:
                 rc = cli.main(list(argv))
             except SystemExit as exc:  # argparse usage errors
@@ -245,11 +264,14 @@ def comparable(case: dict) -> dict:
 
 
 def record(tmp: Path) -> None:
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     golden = {}
     for k, (name, argv) in enumerate(CASES):
         cwd = tmp / f"case{k}"
         cwd.mkdir()
-        golden[name] = run_case(argv, cwd)
+        case = run_case(argv, cwd)
+        old = stored.get(name)
+        golden[name] = old if old is not None and comparable(old) == comparable(case) else case
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
