@@ -67,7 +67,6 @@ _EXPORTS = {
         "PowerIterationResult",
         "TransitionMatrix",
         "convolution_power",
-        "is_primitive_restricted",
         "matrix_multiply",
         "matrix_power",
         "measure_times_matrix",

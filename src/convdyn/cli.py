@@ -18,49 +18,10 @@ from . import serialize
 from .errors import ConvdynError, DomainError, GroupStructureError, ModeMismatchError, ParseError
 from .groups import validate_group, validate_table
 from .measures import ProbMeasure, convolve, l1_distance, pushforward, support_orbit
-from .scalars import DEFAULT_POWER_TOL, parse_scalar, scalar_to_json
+from .scalars import parse_scalar, scalar_to_json
 
 # dynamics, transition and montecarlo are imported by the handlers that
 # call them, so each verb loads only the modules it runs.
-
-
-# verb -> (help, number of --measure arguments, extra arguments)
-_VERBS = {
-    "validate": ("check group axioms (and optionally a measure)", 1, ()),
-    "convolve": ("convolve two measures (first operand on the left)", 2, ()),
-    "transition": ("the doubly stochastic matrix of a measure", 1, ()),
-    "power": ("exact convolution power, or float power iteration", 1, (
-        ("--exponent", dict(type=int, help="power to compute exactly")),
-        ("--iterative", dict(action="store_true", help="iterate matrix powers in floats")),
-        ("--tol", dict(type=float, default=None)),
-        ("--max-iter", dict(type=int, default=None)),
-    )),
-    "check-acyclic": ("support-power orbit and acyclicity", 1, ()),
-    "limit": ("closed-form limit of the convolution powers", 1, ()),
-    "omega-limit": ("limit of the orbit of an initial measure", 1, (
-        ("--initial", dict(required=True, help="initial measure file or inline JSON")),
-    )),
-    "accumulation-points": ("all accumulation points of the power sequence", 1, ()),
-    "fixed-points": ("solutions of the Choquet-Deny equation", 1, ()),
-    "recurrent": ("is the initial measure recurrent under the dynamics", 1, (
-        ("--initial", dict(required=True)),
-    )),
-    "basin": ("basin of attraction of a limit measure", 1, (
-        ("--eta", dict(required=True, help="target limit measure")),
-        ("--candidate", dict(default=None, help="measure to test for membership")),
-    )),
-    "perturb": ("nearby acyclic measure within eps", 1, (
-        ("--eps", dict(required=True, help="distance bound, e.g. 1/10")),
-    )),
-    "pushforward": ("image measure under a homomorphism", 1, (
-        ("--hom", dict(required=True, help="homomorphism file or inline JSON")),
-    )),
-    "sample": ("seeded random-walk check against the exact power", 1, (
-        ("--steps", dict(type=int, default=30)),
-        ("--trials", dict(type=int, default=100000)),
-        ("--seed", dict(type=int, default=0)),
-    )),
-}
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
@@ -73,7 +34,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, measures, extra) in _VERBS.items():
+    for name, (_, help_text, measures, extra) in _VERBS.items():
         if verb is not None and name != verb:
             continue
         p = sub.add_parser(name, help=help_text)
@@ -82,45 +43,33 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
                        help="measure file or inline JSON" + (" (repeatable)" if measures > 1 else ""))
         p.add_argument("--mode", choices=["exact", "float"], default=None,
                        help="arithmetic mode (default exact; power --iterative defaults to float)")
-        p.add_argument("--output", choices=["json", "pretty"], default="json")
+        p.add_argument("--output", choices=["json", "pretty"], default="json",
+                       help="JSON (default) or aligned human-readable text")
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def _group(args):
-    if args.group is None:
-        return None
-    return serialize.load_group(args.group)
-
-
-def _effective_mode(args) -> str:
-    if args.mode is not None:
-        return args.mode
-    if args.command == "power" and getattr(args, "iterative", False):
-        return "float"
-    return "exact"
-
-
 def _load(args, group, *sources) -> list[ProbMeasure]:
     """Every measure the CLI reads: load each source on ``group`` (None:
-    the group the measure names), then apply the effective mode once."""
+    the group the measure names), then apply the mode once: ``--mode``,
+    else float for ``power --iterative`` and exact for the rest."""
     loaded = [serialize.load_measure(s, group=group) for s in sources]
-    if _effective_mode(args) == "float":
+    mode = args.mode or ("float" if getattr(args, "iterative", False) else "exact")
+    if mode == "float":
         loaded = [m.to_float() for m in loaded]
     return loaded
 
 
-def _measures(args, count: int) -> list[ProbMeasure]:
-    group = _group(args)
+def _measures(args) -> list[ProbMeasure]:
+    """The ``--measure`` arguments on ``--group``, exactly as many as the
+    verb's row of ``_VERBS`` declares."""
+    group = None if args.group is None else serialize.load_group(args.group)
+    count = _VERBS[args.command][2]
     sources = args.measure or []
     if len(sources) != count:
         raise ParseError(f"expected {count} --measure argument(s), got {len(sources)}")
     return _load(args, group, *sources)
-
-
-def _one_measure(args) -> ProbMeasure:
-    return _measures(args, 1)[0]
 
 
 def cmd_validate(args):
@@ -130,8 +79,11 @@ def cmd_validate(args):
         raise ParseError("validate requires --group")
     if args.measure and len(args.measure) > 1:
         raise ParseError(f"validate takes at most one --measure, got {len(args.measure)}")
-    obj, _ = serialize.resolve_source(args.group, os.getcwd())
-    if isinstance(obj, dict) and obj.get("family") == "table":
+    # The source is read once; group_from_json resolves an object to itself.
+    obj, base_dir = serialize.resolve_source(args.group, os.getcwd())
+    if not isinstance(obj, dict):
+        raise ParseError("group object must carry a 'family' key")
+    if obj.get("family") == "table":
         raw = obj.get("cayley")
         if not isinstance(raw, list):
             raise ParseError("table group requires a 'cayley' array")
@@ -139,7 +91,7 @@ def cmd_validate(args):
         # group is reported as such even when its labels or order are also
         # rejected, so those errors stand only for a valid table.
         try:
-            group = serialize.group_from_json(obj)
+            group = serialize.group_from_json(obj, base_dir)
         except GroupStructureError as exc:
             if not exc.violations:
                 raise
@@ -149,7 +101,7 @@ def cmd_validate(args):
             if not violations:
                 raise
     else:
-        group = serialize.load_group(args.group)
+        group = serialize.group_from_json(obj, base_dir)
         violations = [v.to_json() for v in validate_group(group)]
     if args.measure:
         if group is None:
@@ -163,7 +115,7 @@ def cmd_validate(args):
 
 
 def cmd_convolve(args):
-    a, b = _measures(args, 2)
+    a, b = _measures(args)
     result = convolve(a, b)
     return {"weights": serialize.weights_to_json(result.weights)}, a.group
 
@@ -171,12 +123,12 @@ def cmd_convolve(args):
 def cmd_transition(args):
     from .transition import transition_matrix
 
-    m = _one_measure(args)
+    (m,) = _measures(args)
     return serialize.matrix_to_json(transition_matrix(m).entries), m.group
 
 
 def cmd_power(args):
-    from .transition import convolution_power, power_convergence, transition_matrix
+    from .transition import DEFAULT_POWER_TOL, convolution_power, power_convergence, transition_matrix
 
     if args.iterative:
         if args.exponent is not None:
@@ -185,7 +137,7 @@ def cmd_power(args):
             raise ModeMismatchError("power --iterative requires --mode float")
     elif args.tol is not None or args.max_iter is not None:
         raise ParseError("power takes --tol and --max-iter only with --iterative")
-    m = _one_measure(args)
+    (m,) = _measures(args)
     if args.iterative:
         tol = DEFAULT_POWER_TOL if args.tol is None else args.tol
         result = power_convergence(transition_matrix(m), tol=tol, max_iter=args.max_iter)
@@ -207,7 +159,7 @@ def cmd_power(args):
 
 
 def cmd_check_acyclic(args):
-    m = _one_measure(args)
+    (m,) = _measures(args)
     so = support_orbit(m)
     labels = m.group.labels
     if so.acyclic:
@@ -227,7 +179,7 @@ def cmd_check_acyclic(args):
 def cmd_limit(args):
     from . import dynamics
 
-    m = _one_measure(args)
+    (m,) = _measures(args)
     limit = dynamics.limit_of_powers(m)
     return {"limit": serialize.weights_to_json(limit.weights)}, m.group
 
@@ -244,7 +196,7 @@ def _points_payload(report) -> dict:
 def cmd_omega_limit(args):
     from . import dynamics
 
-    nu = _one_measure(args)
+    (nu,) = _measures(args)
     (mu,) = _load(args, nu.group, args.initial)
     return _points_payload(dynamics.omega_limit(nu, mu)), nu.group
 
@@ -252,14 +204,14 @@ def cmd_omega_limit(args):
 def cmd_accumulation_points(args):
     from . import dynamics
 
-    nu = _one_measure(args)
+    (nu,) = _measures(args)
     return _points_payload(dynamics.accumulation_points(nu)), nu.group
 
 
 def cmd_fixed_points(args):
     from . import dynamics
 
-    nu = _one_measure(args)
+    (nu,) = _measures(args)
     fps = dynamics.fixed_points(nu)
     return {
         "basis": [serialize.weights_to_json(b.weights) for b in fps.basis],
@@ -270,7 +222,7 @@ def cmd_fixed_points(args):
 def cmd_recurrent(args):
     from . import dynamics
 
-    nu = _one_measure(args)
+    (nu,) = _measures(args)
     (mu,) = _load(args, nu.group, args.initial)
     return {"recurrent": dynamics.is_recurrent(nu, mu)}, nu.group
 
@@ -278,7 +230,7 @@ def cmd_recurrent(args):
 def cmd_basin(args):
     from . import dynamics
 
-    nu = _one_measure(args)
+    (nu,) = _measures(args)
     (eta,) = _load(args, nu.group, args.eta)
     desc = dynamics.basin(nu, eta)
     payload = {
@@ -300,7 +252,7 @@ def cmd_basin(args):
 def cmd_perturb(args):
     from . import dynamics
 
-    nu = _one_measure(args)
+    (nu,) = _measures(args)
     eps = parse_scalar(args.eps)
     result = dynamics.acyclic_perturbation(nu, eps)
     return {
@@ -324,7 +276,7 @@ def cmd_sample(args):
     from . import montecarlo
     from .transition import convolution_power
 
-    m = _one_measure(args)
+    (m,) = _measures(args)
     cfg = montecarlo.WalkConfig(measure=m, steps=args.steps, trials=args.trials, seed=args.seed)
     empirical = montecarlo.empirical_distribution(cfg)
     exact = convolution_power(m, args.steps)
@@ -335,22 +287,46 @@ def cmd_sample(args):
     }, m.group
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "convolve": cmd_convolve,
-    "transition": cmd_transition,
-    "power": cmd_power,
-    "check-acyclic": cmd_check_acyclic,
-    "limit": cmd_limit,
-    "omega-limit": cmd_omega_limit,
-    "accumulation-points": cmd_accumulation_points,
-    "fixed-points": cmd_fixed_points,
-    "recurrent": cmd_recurrent,
-    "basin": cmd_basin,
-    "perturb": cmd_perturb,
-    "pushforward": cmd_pushforward,
-    "sample": cmd_sample,
+# verb -> (handler, help, number of --measure arguments, extra arguments)
+_VERBS = {
+    "validate": (cmd_validate, "check group axioms (and optionally a measure)", 1, ()),
+    "convolve": (cmd_convolve, "convolve two measures (first operand on the left)", 2, ()),
+    "transition": (cmd_transition, "the doubly stochastic matrix of a measure", 1, ()),
+    "power": (cmd_power, "exact convolution power, or float power iteration", 1, (
+        ("--exponent", dict(type=int, help="power to compute exactly")),
+        ("--iterative", dict(action="store_true", help="iterate matrix powers in floats")),
+        ("--tol", dict(type=float, default=None, help="tolerance of --iterative (default 1e-12)")),
+        ("--max-iter", dict(type=int, default=None, help="iteration cap of --iterative (default 2^20)")),
+    )),
+    "check-acyclic": (cmd_check_acyclic, "support-power orbit and acyclicity", 1, ()),
+    "limit": (cmd_limit, "closed-form limit of the convolution powers", 1, ()),
+    "omega-limit": (cmd_omega_limit, "limit of the orbit of an initial measure", 1, (
+        ("--initial", dict(required=True, help="initial measure file or inline JSON")),
+    )),
+    "accumulation-points": (cmd_accumulation_points, "all accumulation points of the power sequence", 1, ()),
+    "fixed-points": (cmd_fixed_points, "solutions of the Choquet-Deny equation", 1, ()),
+    "recurrent": (cmd_recurrent, "is the initial measure recurrent under the dynamics", 1, (
+        ("--initial", dict(required=True, help="initial measure file or inline JSON")),
+    )),
+    "basin": (cmd_basin, "basin of attraction of a limit measure", 1, (
+        ("--eta", dict(required=True, help="target limit measure")),
+        ("--candidate", dict(default=None, help="measure to test for membership")),
+    )),
+    "perturb": (cmd_perturb, "nearby acyclic measure within eps", 1, (
+        ("--eps", dict(required=True, help="distance bound, e.g. 1/10")),
+    )),
+    "pushforward": (cmd_pushforward, "image measure under a homomorphism", 1, (
+        ("--hom", dict(required=True, help="homomorphism file or inline JSON")),
+    )),
+    "sample": (cmd_sample, "seeded random-walk check against the exact power", 1, (
+        ("--steps", dict(type=int, default=30, help="steps per walk (default %(default)s)")),
+        ("--trials", dict(type=int, default=100000, help="number of walks (default %(default)s)")),
+        ("--seed", dict(type=int, default=0, help="seed of the walks' draws (default %(default)s)")),
+    )),
 }
+# main dispatches through this dict, so replacing an entry (as
+# perfbench/tracing.py does) wraps that verb.
+_HANDLERS = {verb: row[0] for verb, row in _VERBS.items()}
 
 _MEASURE_KEYS = ("weights", "limit", "frequencies")
 _MAX_ALIGNED = 12  # matrices with more rows print unaligned

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .groups import CosetDecomposition, coset_decomposition, generated_subgroup, is_subgroup
 from .measures import (
+    FLOAT_SUPPORT_TOL,
     ProbMeasure,
     _acyclic_orbit,
     _require_same_group,
@@ -199,9 +200,6 @@ class BasinDescription(NamedTuple):
     feasible: bool
     witness_block: int | None = None
 
-    def block_sums(self, mu: ProbMeasure) -> tuple[Scalar, ...]:
-        return tuple(_block_sums(mu, self.decomposition))
-
     def contains(self, mu: ProbMeasure) -> bool:
         if not self.feasible:
             return False
@@ -250,12 +248,15 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
     """An acyclic measure within l1 distance eps of nu.
 
     Spreads a small amount of mass from the support onto the rest of
-    H = <supp(nu)>: with a the smallest positive weight and
+    H = <supp(nu)>: with a the smallest weight on the support and
     ebar = min(eps, a)/2, each missing element of H gains
     ebar/(|H| - |supp|) and each support element loses ebar/|supp|.
     The result has support exactly H (hence is acyclic) and distance
     2*ebar <= eps, with equality when eps <= a.  Elements outside H keep
-    weight zero; a full-support-on-H measure is returned unchanged.
+    weight zero; a full-support-on-H measure is returned unchanged.  In
+    float mode the support counts only weights above FLOAT_SUPPORT_TOL;
+    an eps too small for every weight on H to clear it raises
+    DomainError rather than return a measure that is not acyclic.
     """
     if not eps > 0:  # also rejects NaN
         raise DomainError("eps must be positive")
@@ -264,7 +265,7 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
     h_members = so.subgroup.member_set()
     if supp == h_members:
         return nu
-    a = min(w for w in nu.weights if w > 0)
+    a = min(nu.weights[i] for i in supp)
     ebar = scalars.coerce(min(eps, a), nu.mode) / 2  # an infinite eps is no bound
     gain = ebar / (len(h_members) - len(supp))
     loss = ebar / len(supp)
@@ -277,7 +278,13 @@ def acyclic_perturbation(nu: ProbMeasure, eps: Scalar) -> ProbMeasure:
         else:
             weights.append(w)
     # ProbMeasure validation fails loudly if this ever left the simplex
-    return ProbMeasure(nu.group, tuple(weights))
+    result = ProbMeasure(nu.group, tuple(weights))
+    if result.support() != h_members:  # only float weights can fall short
+        raise DomainError(
+            f"eps = {eps} moves too little mass: some float weight on H = <supp nu> "
+            f"stays at or below FLOAT_SUPPORT_TOL = {FLOAT_SUPPORT_TOL}"
+        )
+    return result
 
 
 class GenericityReport(NamedTuple):

@@ -230,7 +230,10 @@ class SupportOrbit(NamedTuple):
     ``cycle_sets`` of length ``period`` repeat forever.  The measure is
     acyclic exactly when the cycle is the single set H, the subgroup
     generated by the support; ``witness`` is then the smallest exponent N
-    with S^N = H.
+    with S^N = H.  Entry (r, c) of the e-th power of the 0/1 pattern of
+    the transition matrix on H is positive exactly when h_r^-1 h_c lies in
+    S^e, so ``acyclic`` and ``witness`` are also that pattern's
+    primitivity and exponent.
     """
 
     measure: ProbMeasure

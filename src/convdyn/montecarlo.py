@@ -49,14 +49,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import BudgetError, DomainError
 from .groups import _Frozen, _set
 from .measures import ProbMeasure, l1_distance
-
-if TYPE_CHECKING:  # numpy is imported only by the functions that use it
-    import numpy as np
 
 GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -74,8 +72,6 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
     """SplitMix64 output finalizer applied to the uint64 array ``z`` in
     place; ``tmp`` is scratch of the same shape.  Array arithmetic on
     uint64 wraps modulo 2^64 without warnings."""
-    import numpy as np
-
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=tmp)
@@ -86,8 +82,6 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
 def mix64(state: np.ndarray) -> np.ndarray:
     """SplitMix64 output finalizer over uint64 arrays; ``state`` is left
     unchanged."""
-    import numpy as np
-
     z = np.array(state, dtype=np.uint64)
     _mix64_into(z, np.empty_like(z))
     return z
@@ -95,8 +89,6 @@ def mix64(state: np.ndarray) -> np.ndarray:
 
 def _streams(seed: int, first: int, trials: int) -> np.ndarray:
     """Stream seeds of trials first .. first+trials-1."""
-    import numpy as np
-
     with np.errstate(over="ignore"):
         t = np.arange(first + 1, first + trials + 1, dtype=np.uint64)
         return mix64(np.uint64(seed) + t * np.uint64(GAMMA))
@@ -104,8 +96,6 @@ def _streams(seed: int, first: int, trials: int) -> np.ndarray:
 
 def draw_matrix(seed: int, trials: int, steps: int) -> np.ndarray:
     """The (trials, steps) matrix of raw 64-bit draws defined above."""
-    import numpy as np
-
     with np.errstate(over="ignore"):
         j = np.arange(1, steps + 1, dtype=np.uint64)
         return mix64(_streams(seed, 0, trials)[:, None] + j[None, :] * np.uint64(GAMMA))
@@ -143,8 +133,6 @@ def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:
     element has weight zero) are dropped: no 64-bit r ever meets them, and
     they would not fit in the uint64 array.
     """
-    import numpy as np
-
     out = []
     acc = Fraction(0)
     boundary = 0
@@ -161,8 +149,6 @@ def cdf_thresholds(measure: ProbMeasure) -> np.ndarray:
 
 def _endpoint_chunks(cfg: WalkConfig, first: int, trials: int):
     """Endpoints of trials first .. first+trials-1, CHUNK_TRIALS at a time."""
-    import numpy as np
-
     g = cfg.measure.group
     thresholds = cdf_thresholds(cfg.measure)
     # Each interval between consecutive distinct boundaries selects one
@@ -208,8 +194,6 @@ def sample_walk(cfg: WalkConfig, trial: int = 0) -> int:
 
 def empirical_distribution(cfg: WalkConfig) -> ProbMeasure:
     """Frequency vector of walk endpoints over all trials (float mode)."""
-    import numpy as np
-
     order = cfg.measure.group.order
     counts = np.zeros(order, dtype=np.int64)
     for endpoints in _endpoint_chunks(cfg, 0, cfg.trials):

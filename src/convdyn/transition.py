@@ -22,13 +22,14 @@ from . import scalars
 from .errors import BudgetError, ConvergenceError, DomainError
 from .groups import CosetDecomposition, FiniteGroup, coset_decomposition, generated_subgroup
 from .measures import ProbMeasure, support_orbit
-from .scalars import DEFAULT_POWER_TOL, EXACT, Scalar
+from .scalars import EXACT, Scalar
 
 if TYPE_CHECKING:  # numpy is imported only by the float paths that use it
     import numpy as np
 
 DEFAULT_BIT_LIMIT = 8_000_000  # ~1 MB of numerator/denominator data per matrix
 DEFAULT_MAX_ITER = 2**20
+DEFAULT_POWER_TOL = 1e-12  # the default tol of power_convergence and of `power --iterative`
 
 
 class TransitionMatrix(NamedTuple):
@@ -309,19 +310,3 @@ def verify_block_structure(m: ProbMeasure) -> BlockStructureReport:
                         violations.append(("off-diagonal-nonzero", i, j))
     return BlockStructureReport(dec, not violations, tuple(violations), diag)
 
-
-def is_primitive_restricted(m: ProbMeasure) -> tuple[bool, int | None]:
-    """Primitivity of the restriction of A to H = <supp>, read off the
-    support orbit.
-
-    Entry (r, c) of the e-th power of the 0/1 pattern of A on H is
-    positive exactly when h_r^{-1} h_c lies in S^e, S = ``m.support()``.
-    So the pattern is primitive exactly when some S^e = H, and its
-    exponent is the first such e: ``support_orbit``'s ``acyclic`` and
-    ``witness``, found in at most |H| set products.  Float weights at or
-    below FLOAT_SUPPORT_TOL are outside S, as they are outside H.
-    """
-    if not m.support():
-        raise DomainError("measure has empty support")
-    orbit = support_orbit(m)
-    return orbit.acyclic, orbit.witness

@@ -133,8 +133,9 @@ def sweep_pool():
 
 
 def linear_primitivity(nu: cd.ProbMeasure) -> tuple[bool, int | None]:
-    """Matrix-side reference for the lemma that ``is_primitive_restricted``
-    states: power the 0/1 pattern of A on H = <supp> one product per
+    """Matrix-side reference for the lemma that ``support_orbit``'s
+    ``(acyclic, witness)`` are the primitivity and the exponent of the 0/1
+    pattern of A on H = <supp>: power that pattern one product per
     exponent up to the Wielandt bound (k-1)^2 + 1 and return the first
     entrywise positive exponent."""
     import numpy as np

@@ -210,12 +210,14 @@ def test_c06_non_acyclic(z2, z4):
 
 @criterion(7, "acyclicity iff primitivity, exhaustive small supports")
 def test_c07_acyclic_iff_primitive():
-    # is_primitive_restricted reads primitivity off the support orbit;
-    # linear_primitivity powers the 0/1 pattern of A on H one product at a time
+    # the support orbit's (acyclic, witness) is primitivity of the 0/1 pattern
+    # of A on H and its exponent; linear_primitivity powers that pattern one
+    # product at a time
     start = time.perf_counter()
     checked = 0
     for nu in exhaustive_small_supports():
-        assert cd.is_primitive_restricted(nu) == linear_primitivity(nu), (nu.group.labels, nu.support())
+        so = cd.support_orbit(nu)
+        assert (so.acyclic, so.witness) == linear_primitivity(nu), (nu.group.labels, nu.support())
         checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 646

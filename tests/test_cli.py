@@ -203,6 +203,18 @@ def test_perturb_command(capsys):
     assert payload == {"weights": ["1/4", "3/4"], "distance": "1/2"}
 
 
+def test_perturb_float_weights(capsys):
+    z4 = '{"family": "cyclic", "n": 4}'
+    # the 1e-15 residue is outside the support; the result has support Z_4
+    code, out, _ = run_cli(capsys, "perturb", "--group", z4,
+                           "--measure", '{"weights": [0.0, 0.5, 1e-15, 0.499999999999999]}', "--eps", "1/10")
+    assert code == 0
+    assert all(w > 1e-14 for w in json.loads(out)["weights"])
+    code, out, err = run_cli(capsys, "perturb", "--group", z4,
+                             "--measure", '{"weights": [0.0, 0.5, 0.0, 0.5]}', "--eps", "1e-14")
+    assert (code, out) == (1, "") and err.startswith("error:domain:") and "FLOAT_SUPPORT_TOL" in err
+
+
 def test_pushforward_command(capsys):
     hom = json.dumps(
         {
@@ -269,6 +281,27 @@ def test_validate_good_and_bad(capsys):
         "valid": False,
         "violations": [{"axiom": "shape", "witness": [0], "detail": "row 0 is 1, not a list"}],
     }
+
+
+def test_validate_reads_a_group_file_once(capsys, tmp_path, monkeypatch):
+    from convdyn import serialize
+
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    original = serialize._read_json
+    monkeypatch.setattr(serialize, "_read_json", counting)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z4.json").write_text('{"family": "cyclic", "n": 4}')
+    (tmp_path / "g8.json").write_text('{"family": "product", "factors": ["z4.json", {"family": "cyclic", "n": 2}]}')
+    for name, factor_files in (("z4.json", 0), ("g8.json", 1)):
+        reads.clear()
+        code, out, _ = run_cli(capsys, "validate", "--group", name)
+        assert code == 0 and json.loads(out) == {"valid": True, "violations": []}
+        assert len(reads) == 1 + factor_files
 
 
 def test_validate_checks_a_table_once_and_reports_it_before_labels_and_order(capsys, monkeypatch):
@@ -485,6 +518,23 @@ def test_help_lists_every_verb(capsys):
         "basin", "perturb", "pushforward", "sample",
     ):
         assert verb in out
+
+
+def test_every_option_of_every_verb_has_help_text():
+    from convdyn.transition import DEFAULT_MAX_ITER, DEFAULT_POWER_TOL
+
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    missing = [
+        (verb, action.option_strings[0])
+        for verb, parser in sub.choices.items()
+        for action in parser._actions
+        if not action.help
+    ]
+    assert missing == []
+    # the defaults that the power help states are the library's
+    helps = {a.dest: a.help for a in sub.choices["power"]._actions}
+    assert f"(default {DEFAULT_POWER_TOL!r})" in helps["tol"]
+    assert f"(default 2^{DEFAULT_MAX_ITER.bit_length() - 1})" in helps["max_iter"]
 
 
 def test_matrix_output_reparses_to_same_values(capsys):

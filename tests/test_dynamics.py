@@ -388,6 +388,16 @@ def test_convex_combinations_of_basis_are_fixed(g6):
     assert cd.convolve(mix, nu).weights == mix.weights
 
 
+def test_fixed_points_are_those_of_right_convolution(s3):
+    # T(mu) = convolve(mu, nu); the paper's T(mu) = nu * mu is left
+    # convolution, whose fixed points on S_3 are other measures
+    nu = cd.ProbMeasure.uniform(s3, {s3.index_of("012"), s3.index_of("102")})
+    basis = cd.fixed_points(nu).basis
+    assert len(basis) == 3
+    assert all(cd.convolve(b, nu) == b for b in basis)
+    assert sum(cd.convolve(nu, b) != b for b in basis) == 2
+
+
 # --- recurrence ---------------------------------------------------------------------
 
 
@@ -585,6 +595,36 @@ def test_perturbation_eps_of_either_scalar_type(g6_coset):
         assert cd.acyclic_perturbation(nu, eps) == cd.acyclic_perturbation(nu, F(eps))
         fnu = nu.to_float()
         assert cd.acyclic_perturbation(fnu, F(eps)) == cd.acyclic_perturbation(fnu, eps)
+
+
+def test_float_perturbation_reads_its_smallest_weight_on_the_support(z4):
+    # 1e-15 is at or below FLOAT_SUPPORT_TOL, so supp nu = {1, 3} and H = Z_4;
+    # the smallest weight is 1/2 - 1e-15, not the residue 1e-15
+    nu = cd.ProbMeasure(z4, (0.0, 0.5, 1e-15, 0.5 - 1e-15))
+    out = cd.acyclic_perturbation(nu, F(1, 10))
+    assert out.support() == {0, 1, 2, 3} and cd.is_acyclic(out)
+    assert cd.l1_distance(nu, out) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_float_perturbation_never_returns_a_non_acyclic_measure(z4):
+    # each missing element of H gains eps/4, which must clear 1e-14
+    nu = cd.ProbMeasure(z4, (0.0, 0.5, 0.0, 0.5))
+    with pytest.raises(DomainError, match="FLOAT_SUPPORT_TOL"):
+        cd.acyclic_perturbation(nu, 1e-14)
+    assert cd.acyclic_perturbation(nu, 1e-13).support() == {0, 1, 2, 3}
+    # a support weight of 1.1e-14 would itself fall to 8.25e-15
+    thin = cd.ProbMeasure(z4, (0.0, 1.1e-14, 0.0, 1 - 1.1e-14))
+    cases = refused = 0
+    for m in (nu, thin, cd.ProbMeasure(z4, (0.0, 0.5, 1e-15, 0.5 - 1e-15))):
+        for eps in (1e-16, 1e-15, 1e-14, 3e-14, 1e-13, 0.1, 1.0):
+            cases += 1
+            try:
+                out = cd.acyclic_perturbation(m, eps)
+            except DomainError:
+                refused += 1
+            else:
+                assert cd.is_acyclic(out) and cd.l1_distance(m, out) <= eps + 1e-15
+    assert 0 < refused < cases
 
 
 # --- generic behavior ---------------------------------------------------------------------

@@ -22,8 +22,8 @@ PUBLIC_NAMES = [
     "apply_step", "basin", "bilinear_pairing", "check_homomorphism", "convolution_power", "convolve",
     "coset_decomposition", "cyclic_group", "dihedral_group", "dynamics", "element_order",
     "empirical_distribution", "errors", "fixed_points", "generated_subgroup", "generic_check",
-    "group_from_table", "groups", "integrate", "is_acyclic", "is_primitive_restricted", "is_recurrent",
-    "is_subgroup", "l1_distance", "limit_of_powers", "matrix_multiply",
+    "group_from_table", "groups", "integrate", "is_acyclic", "is_recurrent", "is_subgroup",
+    "l1_distance", "limit_of_powers", "matrix_multiply",
     "matrix_power", "measure_times_matrix", "measures", "montecarlo", "omega_limit", "orbit",
     "power_convergence", "product_group", "pushforward", "relabel_group", "same_omega_limit",
     "sample_walk", "scalars", "set_product", "support_orbit", "symmetric_group", "transition",
@@ -57,12 +57,12 @@ def test_every_public_name_resolves_to_its_defining_module():
         "print(json.dumps([cd.__all__, wrong, sorted(set(cd.__all__) - set(dir(cd)))]))"
     )
     assert report == [PUBLIC_NAMES, [], []]
-    assert len(PUBLIC_NAMES) == 78
+    assert len(PUBLIC_NAMES) == 77
 
 
 def test_submodules_are_attributes_of_the_package():
     budget, tol = _fresh(
-        "import json, convdyn as cd; print(json.dumps([cd.montecarlo.MC_BUDGET, cd.scalars.DEFAULT_POWER_TOL]))"
+        "import json, convdyn as cd; print(json.dumps([cd.montecarlo.MC_BUDGET, cd.transition.DEFAULT_POWER_TOL]))"
     )
     assert budget == 10**8 and tol == 1e-12
 
@@ -105,6 +105,7 @@ def test_each_verb_loads_only_the_modules_it_runs(argv, modules, numpy):
 def test_primitivity_loads_no_numpy():
     code = (
         "import convdyn as cd; g = cd.cyclic_group(3)\n"
-        "assert cd.is_primitive_restricted(cd.ProbMeasure.uniform(g, {0, 1})) == (True, 2)\n" + LOADED
+        "so = cd.support_orbit(cd.ProbMeasure.uniform(g, {0, 1})); assert (so.acyclic, so.witness) == (True, 2)\n"
+        + LOADED
     )
     assert _fresh(code)[1] is False

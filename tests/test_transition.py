@@ -432,7 +432,8 @@ def test_power_convergence_on_g_equals_power_convergence_on_h():
 def test_weights_at_or_below_the_support_tolerance_are_outside_h(z4):
     # 1e-15 <= FLOAT_SUPPORT_TOL: the identity is not in the support, so
     # the +-1 walk keeps period 2 and its pattern is not primitive
-    assert cd.is_primitive_restricted(cd.ProbMeasure(z4, (1e-15, 0.5, 0.0, 0.5))) == (False, None)
+    so = cd.support_orbit(cd.ProbMeasure(z4, (1e-15, 0.5, 0.0, 0.5)))
+    assert (so.acyclic, so.witness) == (False, None)
     # H = {0, 2}: the residue on 1 is not in A's powers, whose entries
     # between the cosets {0, 2} and {1, 3} are exactly 0
     nu = cd.ProbMeasure(z4, (0.5, 1e-15, 0.5 - 1e-15, 0.0))
@@ -522,12 +523,12 @@ def test_verify_block_structure_z4_even_support(z4):
 
 def test_primitivity_examples(g6, z4):
     nu = nu_g6(g6, F(1, 2))
-    primitive, exponent = cd.is_primitive_restricted(nu)
-    assert primitive and exponent <= 5
-    parity = cd.ProbMeasure.point_mass(z4, 2)
-    assert cd.is_primitive_restricted(parity) == (False, None)
-    full = cd.ProbMeasure.uniform(z4, {0, 2})
-    assert cd.is_primitive_restricted(full) == (True, 1)
+    so = cd.support_orbit(nu)
+    assert so.acyclic and so.witness <= 5
+    parity = cd.support_orbit(cd.ProbMeasure.point_mass(z4, 2))
+    assert (parity.acyclic, parity.witness) == (False, None)
+    full = cd.support_orbit(cd.ProbMeasure.uniform(z4, {0, 2}))
+    assert (full.acyclic, full.witness) == (True, 1)
 
 
 def kawada_ito_subgroup(nu: cd.ProbMeasure) -> frozenset[int]:
@@ -560,7 +561,8 @@ def test_primitivity_matches_linear_search():
     exponents, non_primitive = set(), 0
     for nu in sampled:  # c07 checks every small support
         expected = linear_primitivity(nu)
-        assert cd.is_primitive_restricted(nu) == expected, (nu.group.labels, nu.support())
+        so = cd.support_orbit(nu)
+        assert (so.acyclic, so.witness) == expected, (nu.group.labels, nu.support())
         exponents.add(expected[1])
         non_primitive += not expected[0]
     assert non_primitive > 100
@@ -571,7 +573,8 @@ def test_primitivity_rejects_period_two_walk_on_z120():
     # the support orbit alternates between the odd and the even residues,
     # so no power of the pattern on H = Z_120 is positive
     z120 = cd.cyclic_group(120)
-    assert cd.is_primitive_restricted(cd.ProbMeasure.uniform(z120, {1, 119})) == (False, None)
+    so = cd.support_orbit(cd.ProbMeasure.uniform(z120, {1, 119}))
+    assert (so.acyclic, so.witness) == (False, None)
 
 
 def test_primitivity_iff_acyclic_small_random(small_pool):
